@@ -33,7 +33,6 @@ grid near the window ends may be undercounted.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -344,9 +343,59 @@ def _golden_min(f, lo: float, hi: float, iters: int = 120) -> tuple[float, float
     return math.exp(d), fd
 
 
+def _checked_window(table: NormTable,
+                    window: tuple[float, float] | None) -> tuple[float, float]:
+    if window is None:
+        window = default_window(table)
+    s_lo, s_hi = float(window[0]), float(window[1])
+    if not (0.0 < s_lo < s_hi):
+        raise ValueError(f"window must satisfy 0 < s_lo < s_hi, got {window!r}")
+    return s_lo, s_hi
+
+
+def _scan(spec: ProblemSpec, table: NormTable, window: tuple[float, float],
+          n_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The log-spaced scan grid over the window and g on it.
+
+    g does not depend on lambda (only the target does), so one scan serves
+    every lambda of a sweep.
+    """
+    grid = np.geomspace(window[0], window[1], n_grid)
+    return grid, _g_array(spec, table, grid)
+
+
+# event codes in _events are indices into this tuple; 0 means no event
+_EVENT_KINDS = ("", "bracket", "gridzero", "dip")
+
+
+def _events(grid: np.ndarray, sign: np.ndarray, abs_h: np.ndarray,
+            cand_tol: float) -> list[tuple[int, str]]:
+    """Candidate root locations on the scan grid as (index, kind), ascending in s.
+
+    Kinds: "bracket" (sign change on [grid[i], grid[i+1]]), "gridzero"
+    (h = 0 at grid[i]) and "dip" (a local minimum of |h| no larger than
+    cand_tol with equal nonzero signs at i-1, i, i+1).  The kinds exclude
+    each other, so every index carries at most one event.  NaN entries
+    follow IEEE comparisons: they open brackets and are never zeros or dips.
+    """
+    kind = np.zeros(len(sign), dtype=np.int8)
+    nonzero = sign != 0.0
+    kind[~nonzero] = 2
+    kind[:-1][nonzero[:-1] & nonzero[1:] & (sign[:-1] != sign[1:])] = 1
+    centre = abs_h[1:-1]
+    kind[1:-1][nonzero[1:-1] & (sign[:-2] == sign[1:-1]) & (sign[1:-1] == sign[2:])
+               & (centre <= cand_tol) & (centre <= abs_h[:-2]) & (centre <= abs_h[2:])] = 3
+    idx = np.flatnonzero(kind)
+    # ascending s; where the grid repeats a value, brackets come before
+    # grid zeros before dips
+    idx = idx[np.lexsort((kind[idx], grid[idx]))]
+    return [(int(i), _EVENT_KINDS[kind[i]]) for i in idx]
+
+
 def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
                  window: tuple[float, float] | None = None,
-                 count_cap: int = 64, n_grid: int = 4096) -> SolveResult:
+                 count_cap: int = 64, n_grid: int = 4096, *,
+                 _scanned: tuple[np.ndarray, np.ndarray] | None = None) -> SolveResult:
     """All roots of g(s) = lambda ||U||_q1^(1-p) inside the window.
 
     Scans a log-spaced grid, refines sign changes by Brent's method to
@@ -358,44 +407,25 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
     boundary root is reported with kind "window-edge" (excluded from
     ``count``).  Oscillations faster than the grid near the window ends may
     be undercounted; widen the window or raise n_grid in doubt.
+
+    ``_scanned`` is the ``_scan`` of this window, which ``sweep`` computes
+    once and passes to every solve; n_grid is then ignored.
     """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
     if count_cap < 1:
         raise ValueError("count_cap must be at least 1")
-    if window is None:
-        window = default_window(table)
-    s_lo, s_hi = float(window[0]), float(window[1])
-    if not (0.0 < s_lo < s_hi):
-        raise ValueError(f"window must satisfy 0 < s_lo < s_hi, got {window!r}")
+    s_lo, s_hi = _checked_window(table, window)
 
     target = lam * table.n_q1 ** (1.0 - spec.p)
-    grid = np.geomspace(s_lo, s_hi, n_grid)
-    h_grid = _g_array(spec, table, grid) - target
+    grid, g_grid = _scan(spec, table, (s_lo, s_hi), n_grid) if _scanned is None else _scanned
+    h_grid = g_grid - target
 
     def h(s: float) -> float:
         return g_of_s(spec, table, s) - target
 
-    # Candidate root locations in ascending order: sign-change brackets,
-    # exact grid zeros, and near-zero local minima of |h|.
-    events: list[tuple[float, str, int]] = []  # (s_position, kind, index)
     sign = np.sign(h_grid)
-    for i in range(n_grid - 1):
-        if sign[i] == 0.0:
-            continue
-        if sign[i + 1] != 0.0 and sign[i] != sign[i + 1]:
-            events.append((float(grid[i]), "bracket", i))
-    for i in range(n_grid):
-        if sign[i] == 0.0:
-            events.append((float(grid[i]), "gridzero", i))
-    abs_h = np.abs(h_grid)
-    cand_tol = _CANDIDATE_TOL * abs(target)
-    for i in range(1, n_grid - 1):
-        if sign[i] == 0.0 or sign[i - 1] != sign[i] or sign[i] != sign[i + 1]:
-            continue
-        if abs_h[i] <= cand_tol and abs_h[i] <= abs_h[i - 1] and abs_h[i] <= abs_h[i + 1]:
-            events.append((float(grid[i]), "dip", i))
-    events.sort(key=lambda e: e[0])
+    events = _events(grid, sign, np.abs(h_grid), _CANDIDATE_TOL * abs(target))
 
     roots: list[Root] = []
     overflow = False
@@ -405,7 +435,7 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
         roots.append(Root(s=s_root, kind=kind, residual=res,
                           quadruple=lift_quadruple(table, s_root)))
 
-    for s_pos, etype, i in events:
+    for i, etype in events:
         if len(roots) >= count_cap:
             overflow = True
             break
@@ -413,7 +443,7 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
             push(_refine_bracket(h, float(grid[i]), float(grid[i + 1])), "transversal")
         elif etype == "gridzero":
             left = sign[i - 1] if i > 0 else 0.0
-            right = sign[i + 1] if i < n_grid - 1 else 0.0
+            right = sign[i + 1] if i < len(grid) - 1 else 0.0
             push(float(grid[i]), "transversal" if left * right < 0.0 else "tangential")
         else:  # dip
             sigma = float(sign[i])
@@ -495,9 +525,9 @@ def nonlocal_residual(spec: ProblemSpec, table: NormTable, profile: Profile,
 
 
 def _locate_threshold(spec: ProblemSpec, table: NormTable, lo: float, hi: float,
-                      count_lo: int, count_hi: int, window, count_cap, n_grid,
+                      count_lo: int, count_hi: int, window, count_cap, scanned,
                       rel_tol: float = 1e-9) -> float:
-    """Bisect lambda between differing counts.
+    """Bisect lambda between differing counts, solving on the sweep's scan.
 
     A midpoint whose count differs from both endpoint counts sits inside the
     tangential band surrounding the exact threshold and is accepted as the
@@ -507,7 +537,7 @@ def _locate_threshold(spec: ProblemSpec, table: NormTable, lo: float, hi: float,
         mid = math.sqrt(lo * hi)
         if (hi - lo) <= rel_tol * mid:
             return mid
-        c = solve_single(spec, table, mid, window, count_cap, n_grid).count
+        c = solve_single(spec, table, mid, window, count_cap, _scanned=scanned).count
         if c == count_lo:
             lo = mid
         elif c == count_hi:
@@ -525,31 +555,26 @@ def sweep(spec: ProblemSpec, table: NormTable, lambda_grid,
     Thresholds are bisected (in log-lambda) between adjacent grid values
     whose counts differ, to relative accuracy 1e-9 or until the tangential
     band is hit.  A threshold adjacent to an overflow-flagged lambda is
-    marked unreliable.  Per-lambda solves are independent; with threads > 1
-    they run in a thread pool and are reassembled in grid order, so output
-    is deterministic regardless of parallelism.
+    marked unreliable.  The window is scanned once: g does not depend on
+    lambda, so every per-lambda solve and every bisection step reuses the
+    same grid values.  Solves run serially in grid order; ``threads`` is
+    accepted for compatibility and has no effect.
     """
     lams = [float(l) for l in lambda_grid]
     if any(l <= 0.0 for l in lams) or any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda grid must be positive and strictly increasing")
     if window is None:
         window = default_window(table)
-
-    def solve_one(lam: float) -> SolveResult:
-        return solve_single(spec, table, lam, window, count_cap, n_grid)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_one, lams))
-    else:
-        results = [solve_one(lam) for lam in lams]
+    scanned = _scan(spec, table, _checked_window(table, window), n_grid)
+    results = [solve_single(spec, table, lam, window, count_cap, _scanned=scanned)
+               for lam in lams]
 
     thresholds = []
     for (lam_a, res_a), (lam_b, res_b) in zip(zip(lams, results), zip(lams[1:], results[1:])):
         if res_a.count == res_b.count:
             continue
         value = _locate_threshold(spec, table, lam_a, lam_b, res_a.count, res_b.count,
-                                  window, count_cap, n_grid)
+                                  window, count_cap, scanned)
         thresholds.append(Threshold(lam=value, count_below=res_a.count,
                                     count_above=res_b.count,
                                     reliable=not (res_a.overflow or res_b.overflow)))

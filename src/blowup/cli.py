@@ -9,8 +9,11 @@ fixed, and data files carry no timestamps.  CSV uses a header row plus
 numbers as a {config_echo, results, flags} object.
 
 Exit codes: 0 success (a run with zero roots is a success), 1 verification
-failure, 2 usage or configuration error.  Sweep parallelism is capped by
-the BLOWUP_THREADS environment variable (0 = auto).
+failure, 2 usage or configuration error, or a numerical failure (overflow,
+division by zero, a root or inverse that cannot be bracketed) reported as
+a one-line diagnostic.  Sweep solves run serially; the BLOWUP_THREADS
+environment variable is still validated (an integer >= 0) but changes
+nothing, and output is byte-identical for every value.
 """
 
 from __future__ import annotations
@@ -467,6 +470,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](cfg)
     except (UsageError, ExponentError, CoefficientError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, RuntimeError) as exc:
+        print(f"error: numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
 
 

@@ -111,6 +111,12 @@ def _head(p: float, y: float) -> float:
     return quad(_head_integrand(p), 0.0, math.sqrt(y - 1.0), **_QUAD_OPTS)[0]
 
 
+@lru_cache(maxsize=256)
+def _z_split(p: float) -> float:
+    """T(_SPLIT), where time_map_inverse switches from head to tail inversion."""
+    return _head(p, _SPLIT)
+
+
 def _tail(p: float, y: float) -> float:
     """integral_y^infinity ds / sqrt(s^(p+1) - 1), via s = z^(-2/(p-1))."""
     b = 2.0 / (p - 1.0)
@@ -163,8 +169,7 @@ def time_map_inverse(profile: Profile, z: float) -> float:
     if z == 0.0:
         return 1.0
 
-    z_split = _head(p, _SPLIT)
-    if z <= z_split:
+    if z <= _z_split(p):
         # invert in w-space where G(w) = T(1 + w^2) has a smooth nonzero slope
         g = _head_integrand(p)
         lo, hi = 0.0, math.sqrt(_SPLIT - 1.0)

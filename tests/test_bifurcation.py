@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blowup import bifurcation
 from blowup.bifurcation import (
     CoefficientError,
+    _events,
     g_of_s,
     lift_quadruple,
     make_problem_spec,
@@ -16,8 +20,9 @@ from blowup.bifurcation import (
     sweep,
     system_residual,
 )
-from blowup.norms import ExponentError
+from blowup.norms import ExponentError, make_norm_table
 from blowup.oracles import norm_x_quadrature
+from blowup.scenarios import analytic_thresholds, get_scenario, scenario_problem
 from blowup.timemap import eval_U
 
 
@@ -221,3 +226,97 @@ def test_sweep_threads_deterministic(table3):
     one = sweep(spec, table3, grid, threads=1)
     four = sweep(spec, table3, grid, threads=4)
     assert one == four
+
+
+def _loop_events(grid, h_grid, cand_tol):
+    """The scalar event scan that _events replaced, kept as its reference."""
+    n_grid = len(h_grid)
+    events = []
+    sign = np.sign(h_grid)
+    for i in range(n_grid - 1):
+        if sign[i] == 0.0:
+            continue
+        if sign[i + 1] != 0.0 and sign[i] != sign[i + 1]:
+            events.append((float(grid[i]), "bracket", i))
+    for i in range(n_grid):
+        if sign[i] == 0.0:
+            events.append((float(grid[i]), "gridzero", i))
+    abs_h = np.abs(h_grid)
+    for i in range(1, n_grid - 1):
+        if sign[i] == 0.0 or sign[i - 1] != sign[i] or sign[i] != sign[i + 1]:
+            continue
+        if abs_h[i] <= cand_tol and abs_h[i] <= abs_h[i - 1] and abs_h[i] <= abs_h[i + 1]:
+            events.append((float(grid[i]), "dip", i))
+    events.sort(key=lambda e: e[0])
+    return [(i, kind) for _, kind, i in events]
+
+
+def _check_events(h_grid, grid=None, cand_tol=1e-3):
+    h_grid = np.asarray(h_grid, dtype=float)
+    grid = np.geomspace(1.0, 2.0, len(h_grid)) if grid is None else np.asarray(grid, float)
+    got = _events(grid, np.sign(h_grid), np.abs(h_grid), cand_tol)
+    assert got == _loop_events(grid, h_grid, cand_tol)
+    return got
+
+
+@pytest.mark.parametrize("h_grid", [
+    [],
+    [0.0],
+    [1.0, -1.0],
+    [0.0, 1.0, -1.0, 0.0],             # exact zeros at both ends
+    [1.0, 0.0, 0.0, -1.0, 0.0, 0.0],   # adjacent zeros
+    [1.0, -0.0, 1.0],                  # negative zero is a grid zero
+    [1.0, math.nan, 1.0, -1.0, math.nan, math.nan, 2.0],
+    [math.inf, -math.inf, 1.0, math.inf, 5e-4, math.inf],
+    [1.0, 5e-4, 5e-4, 5e-4, 1.0],      # plateau with equal |h|
+    [-1.0, -5e-4, -5e-4, -1.0, 2e-4, 3e-4, 2e-4, 1.0],
+    [1.0, 1e-3, 1.0, -1.0, -1e-3, -1.0, 1.0, 1.0000001e-3, 1.0],  # at and above cand_tol
+    [math.nan, 1e-4, math.nan, 1e-4, 1.0, 0.0, -1.0],
+])
+def test_events_match_loop_scan(h_grid):
+    _check_events(h_grid)
+
+
+def test_events_kinds_and_order():
+    got = _check_events([0.0, 1.0, -1.0, -5e-4, -1.0, 0.0, 0.0, 2.0, 5e-4, 1.0])
+    assert got == [(0, "gridzero"), (1, "bracket"), (3, "dip"), (5, "gridzero"),
+                   (6, "gridzero"), (8, "dip")]
+
+
+_H_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 1e-3, -1e-3, 5e-4, -5e-4,
+                             math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_H_VALUES, max_size=12), st.data())
+def test_events_match_loop_scan_property(h_grid, data):
+    # grids drawn from a small set repeat values and need not be increasing,
+    # so ties in s and out-of-order cells are exercised too
+    grid = data.draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+                              min_size=len(h_grid), max_size=len(h_grid)))
+    _check_events(h_grid, grid)
+
+
+@pytest.mark.parametrize("name, count_cap", [("cor2", 64), ("cor3", 8)])
+def test_sweep_equals_per_lambda_solves(name, count_cap, monkeypatch):
+    p = 3.0
+    table = make_norm_table(p, 0.5, 0.7, 0.2, 0.3)
+    scenario = get_scenario(name)
+    spec = scenario_problem(scenario, p, 0.5, 0.7, 0.2, 0.3)
+    ths = analytic_thresholds(scenario, table)
+    grid = list(np.geomspace(0.5 * ths[0], 2.0 * ths[-1], 7))
+    window = (1e-3, 1e5)
+    diagram = sweep(spec, table, grid, window=window, count_cap=count_cap)
+    singles = tuple(solve_single(spec, table, lam, window, count_cap) for lam in grid)
+    assert diagram.results == singles
+    if name == "cor3":
+        assert any(res.overflow for res in diagram.results)
+    # thresholds too: bisection on fresh scans gives the same diagram
+    fresh = bifurcation.solve_single
+
+    def rescanning(*args, _scanned=None, **kwargs):
+        return fresh(*args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "solve_single", rescanning)
+    assert sweep(spec, table, grid, window=window, count_cap=count_cap) == diagram
+    assert diagram.thresholds

@@ -242,3 +242,26 @@ def test_verify_asymptotics_mode(capsys):
                             "--asymptotics"], capsys)
     assert code == 0
     assert "s2 ratio" in out
+
+
+def _one_line_error(err, name):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: numerical failure") and name in lines[0]
+
+
+def test_norms_overflow_exits_2(capsys):
+    # mu_p = (...)^(2/(p-1)) overflows a double near p = 1
+    code, out, err = run_cli(["norms", "--p", "1.01", "--q1", "0.0025", "--q2", "0.0035",
+                              "--r1", "0.002", "--r2", "0.003"], capsys)
+    assert code == 2
+    assert out == ""
+    _one_line_error(err, "OverflowError")
+
+
+def test_verify_unbracketed_inverse_exits_2(capsys):
+    # exit 1 is reserved for failed checks; a solver failure is exit 2
+    code, out, err = run_cli(["verify", "--ps", "1.05", "40"], capsys)
+    assert code == 2
+    assert out == ""
+    _one_line_error(err, "RuntimeError")
