@@ -33,14 +33,13 @@ grid near the window ends may be undercounted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exprdsl import CoeffExpr, EvalError, eval_array, eval_expr, parse
 from .norms import ExponentError, NormTable, make_norm_table, validate_exponents
-from .timemap import Profile, ProfileSample, eval_U, eval_U_prime, symmetric_grid
+from .timemap import Profile, ProfileSample, eval_U, sample_profile, symmetric_grid
 
 __all__ = [
     "ProblemSpec",
@@ -243,7 +242,8 @@ def _g_array(spec: ProblemSpec, table: NormTable, s: np.ndarray) -> np.ndarray:
 
     Overflow of A or B to +inf is tolerated (the sign of g - target is still
     meaningful there); NaN and nonpositive finite values raise with the
-    first offending point.
+    first offending point, and so does a point where both overflow, since
+    g = inf/inf is undetermined there.
     """
     t1a = table.m_r1 / table.n_q1 * s
     s2a = table.n_q2 / table.n_q1 * s
@@ -257,6 +257,13 @@ def _g_array(spec: ProblemSpec, table: NormTable, s: np.ndarray) -> np.ndarray:
             i = int(np.argmax(bad))
             raise CoefficientError(label, float(s_arg[i]), float(t_arg[i]),
                                    f"value {float(vals[i])!r} in scan")
+    both_inf = np.isposinf(a_val) & np.isposinf(b_val)
+    if both_inf.any():
+        i = int(np.argmax(both_inf))
+        raise CoefficientError("A", float(s[i]), float(t1a[i]),
+                               f"A and B both overflow to +inf in scan (B at s={float(s2a[i])!r}, "
+                               f"t={float(t2a[i])!r}), so g is undetermined; the window must "
+                               f"end below s={float(s[i])!r}")
     with np.errstate(all="ignore"):
         return s ** (1.0 - spec.p) * a_val / b_val
 
@@ -317,7 +324,78 @@ def _refine_bracket(h, lo: float, hi: float) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    return brentq(h, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    return _brent(h, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+
+
+def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Brent's root finder, a line-for-line port of the SciPy library's C ``brentq``.
+
+    Brent (1973), *Algorithms for Minimization without Derivatives*, ch. 4:
+    inverse quadratic or linear interpolation when it gains fast enough,
+    bisection otherwise, stopping when half the bracket is below
+    (xtol + rtol |x|) / 2.  The same arithmetic in the same order gives the
+    same roots bit for bit.  A NaN value raises ValueError, as does a
+    bracket without a sign change; RuntimeError means no convergence within
+    maxiter iterations.
+    """
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # C divides an underflowed denominator into +-inf or NaN,
+                # which fails the step test below; Python would raise
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom != 0.0 else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 120) -> tuple[float, float]:
@@ -492,13 +570,9 @@ def reconstruct(profile: Profile, table: NormTable, s: float,
     """Sample the solution u = (s / ||U||_q1) U and its derivative."""
     if not (s > 0.0):
         raise ValueError(f"scaling s must be positive, got {s!r}")
-    if grid is None:
-        grid = symmetric_grid(n, delta)
-    grid = np.asarray(grid, dtype=float)
+    sample = sample_profile(profile, grid, n, delta)
     scale = s / table.n_q1
-    values = np.array([scale * eval_U(profile, x) for x in grid])
-    derivs = np.array([scale * eval_U_prime(profile, x) for x in grid])
-    return ProfileSample(grid=grid, values=values, derivs=derivs, delta=float(delta))
+    return replace(sample, values=scale * sample.values, derivs=scale * sample.derivs)
 
 
 def nonlocal_residual(spec: ProblemSpec, table: NormTable, profile: Profile,

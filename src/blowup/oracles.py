@@ -8,7 +8,7 @@ Everything here deliberately avoids the machinery it is meant to check:
     (no Beta closed form);
   * ``time_map_midpoint`` re-evaluates the time map with a midpoint-rule
     refinement scheme (the implementation path uses adaptive Gauss-Kronrod
-    via QUADPACK);
+    via the package's QUADPACK port);
   * ``bisection_inverse`` inverts the time map by pure bisection (the
     implementation path uses safeguarded Newton);
   * ``rk_profile`` integrates U'' = U^p with an adaptive Cash-Karp 5(4)

@@ -22,6 +22,9 @@ algebraic tail at infinity.  Both are removed by substitution:
            (2/(p-1)) * integral_0^(y^(-(p-1)/2)) dz / sqrt(1 - z^(2(p+1)/(p-1))),
            smooth because the upper limit stays below 1.
 
+Both are integrated by ``quadpack.quad``, the package's port of QUADPACK's
+adaptive Gauss-Kronrod routine QAGS.
+
 The blow-up at the endpoints is genuine, so inversion is capped at
 z <= (1 - 1e-9) * L_p; evaluation closer to the boundary raises.
 """
@@ -33,8 +36,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
+from .quadpack import quad
 from .specfun import beta
 
 __all__ = [

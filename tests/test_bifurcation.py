@@ -15,6 +15,7 @@ from blowup.bifurcation import (
     lift_quadruple,
     make_problem_spec,
     nonlocal_residual,
+    _brent,
     reconstruct,
     solve_single,
     sweep,
@@ -23,7 +24,7 @@ from blowup.bifurcation import (
 from blowup.norms import ExponentError, make_norm_table
 from blowup.oracles import norm_x_quadrature
 from blowup.scenarios import analytic_thresholds, get_scenario, scenario_problem
-from blowup.timemap import eval_U
+from blowup.timemap import eval_U, eval_U_prime
 
 
 def _spec(table, A="1", B="1", params=None):
@@ -320,3 +321,85 @@ def test_sweep_equals_per_lambda_solves(name, count_cap, monkeypatch):
     monkeypatch.setattr(bifurcation, "solve_single", rescanning)
     assert sweep(spec, table, grid, window=window, count_cap=count_cap) == diagram
     assert diagram.thresholds
+
+
+def test_reconstruct_is_scaled_sample_profile(profile3, table3):
+    s = 2.5 * table3.n_q1
+    scale = s / table3.n_q1
+    sample = reconstruct(profile3, table3, s, n=41, delta=0.01)
+    # element for element the per-point loops reconstruct used to run
+    assert np.array_equal(sample.values, [scale * eval_U(profile3, x) for x in sample.grid])
+    assert np.array_equal(sample.derivs, [scale * eval_U_prime(profile3, x) for x in sample.grid])
+    assert sample.delta == 0.01
+    with pytest.raises(ValueError):
+        reconstruct(profile3, table3, s, grid=[0.0, 0.9999], delta=0.01)
+    with pytest.raises(ValueError):
+        reconstruct(profile3, table3, 0.0, n=41)
+
+
+def test_both_coefficients_overflowing_is_a_coefficient_error(table3):
+    # A = e^s and B = e^t both reach +inf near s = 710, where g = inf/inf
+    spec = _spec(table3, A="exp(s)", B="exp(t)")
+    with pytest.raises(CoefficientError, match="undetermined") as err:
+        solve_single(spec, table3, 1.0)
+    s_bad = err.value.point[0]
+    assert 709.0 < s_bad < 720.0
+    assert f"end below s={s_bad!r}" in str(err.value)
+    result = solve_single(spec, table3, 1.0, window=(1e-6, 500.0))
+    assert [r.kind for r in result.roots] == ["transversal"]
+    # one overflowing coefficient alone still scans: g = inf keeps its sign
+    assert solve_single(_spec(table3, A="exp(s)", B="1"), table3, 2000.0).count == 2
+
+
+def _recording_brent(monkeypatch):
+    calls = []
+
+    def recording(f, xa, xb, **kwargs):
+        root = _brent(f, xa, xb, **kwargs)
+        calls.append((f, xa, xb, kwargs, root))
+        return root
+
+    monkeypatch.setattr(bifurcation, "_brent", recording)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["cor1", "cor2", "cor3", "cor4"])
+def test_brent_bit_identical_to_scipy_on_scenarios(name, monkeypatch):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    p = 3.0
+    table = make_norm_table(p, 0.5, 0.7, 0.2, 0.3)
+    scenario = get_scenario(name)
+    spec = scenario_problem(scenario, p, 0.5, 0.7, 0.2, 0.3)
+    ths = analytic_thresholds(scenario, table)
+    calls = _recording_brent(monkeypatch)
+    sweep(spec, table, np.geomspace(0.5 * ths[0], 2.0 * ths[-1], 5),
+          window=(1e-3, 1e5), count_cap=16)
+    assert calls
+    for f, xa, xb, kwargs, root in calls:
+        assert brentq(f, xa, xb, **kwargs) == root
+
+
+def _outcome(solver, f, xa, xb, **kwargs):
+    try:
+        return solver(f, xa, xb, **kwargs)
+    except Exception as exc:  # the same exception type is the same outcome
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-50.0, 50.0), st.floats(1e-6, 1e3), st.floats(0.01, 1.0),
+       st.floats(0.0, 30.0), st.floats(-3.0, 3.0), st.integers(0, 3),
+       st.sampled_from([(2e-12, 8.881784197001252e-16, 100), (1e-300, 8.9e-16, 200),
+                        (1e-3, 1e-6, 100), (2e-12, 8.881784197001252e-16, 3)]))
+def test_brent_bit_identical_to_scipy_on_random_brackets(xa, width, frac, k, c, shape, opts):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    xb = xa + width
+    r = xa + frac * width
+    f = [lambda x: math.atan(k * (x - r)) + c * (x - r) ** 3,
+         lambda x: math.sin(k * x + c),
+         lambda x: math.expm1(c * (x - r)) + 1e-3 * (x - r),
+         lambda x: math.nan if x > r else -1.0][shape]
+    xtol, rtol, maxiter = opts
+    new = _outcome(_brent, f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    old = _outcome(brentq, f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    assert new == old or (new != new and old != old)

@@ -265,3 +265,31 @@ def test_verify_unbracketed_inverse_exits_2(capsys):
     assert code == 2
     assert out == ""
     _one_line_error(err, "RuntimeError")
+
+
+OVERFLOW_BOTH = ["roots", *BASE, "--A", "exp(s)", "--B", "exp(t)", "--lambda", "1"]
+
+
+def test_roots_with_both_coefficients_overflowing_exits_2(capsys):
+    # A = e^s and B = e^t are both +inf from s ~ 712 on: g = inf/inf there
+    code, out, err = run_cli(OVERFLOW_BOTH, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: coefficient A at (s=712.64")
+    assert "g is undetermined; the window must end below s=712.64" in err
+
+
+def test_roots_with_both_coefficients_overflowing_narrow_window(capsys):
+    code, out, _ = run_cli([*OVERFLOW_BOTH, "--window", "1e-6", "500"], capsys)
+    assert code == 0
+    _, rows = _csv_rows(out)
+    assert [row[5] for row in rows] == ["transversal"]
+
+
+def test_import_loads_no_scipy():
+    # scipy is not a dependency; a fresh import of the CLI must not load it
+    script = ("import sys, blowup.cli; "
+              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

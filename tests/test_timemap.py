@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -150,3 +151,58 @@ def test_sample_profile(profile3):
     assert np.allclose(sample.derivs, -sample.derivs[::-1], rtol=0, atol=0)
     with pytest.raises(ValueError):
         sample_profile(profile3, grid=[0.0, 0.9999], delta=0.01)
+
+
+def _time_map_100(p, y):
+    # T(y) = B_u(1/2, a) / (p+1), u = 1 - y^(-(p+1)), at 110 digits; at 40
+    # digits u rounds to 1 for y = 1e30 and the reference itself goes wrong
+    with mpmath.workdps(110):
+        p, y = mpmath.mpf(p), mpmath.mpf(y)
+        a = (p - 1) / (2 * (p + 1))
+        return mpmath.betainc(mpmath.mpf(1) / 2, a, 0, 1 - y ** (-(p + 1))) / (p + 1)
+
+
+@pytest.mark.parametrize("p", [1.05, 2.0, 3.0, 8.0, 40.0])
+def test_time_map_against_100_digit_reference(p):
+    profile = make_profile(p)
+    ys = np.concatenate([1.0 + np.geomspace(1e-12, 1.0, 25), np.geomspace(2.0, 1e30, 35)])
+    for y in ys:
+        y = float(y)
+        assert abs(time_map(profile, y) - _time_map_100(p, y)) <= 1e-14 * profile.L_p, y
+
+
+@pytest.mark.parametrize("p", [1.05, 3.0, 40.0])
+def test_time_map_matches_scipy_quadrature(p):
+    # the same head/tail integrals through SciPy's QUADPACK give the same bits
+    quad = pytest.importorskip("scipy.integrate").quad
+    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+    profile = make_profile(p)
+
+    def head(y):
+        def f(w):
+            if w == 0.0:
+                return 2.0 / math.sqrt(p + 1.0)
+            return 2.0 * w / math.sqrt(math.expm1((p + 1.0) * math.log1p(w * w)))
+        return quad(f, 0.0, math.sqrt(y - 1.0), **opts)[0]
+
+    def tail(y):
+        b = 2.0 / (p - 1.0)
+        return quad(lambda z: b / math.sqrt(1.0 - z ** (b * (p + 1.0))), 0.0,
+                    y ** (-1.0 / b), **opts)[0]
+
+    for y in np.concatenate([1.0 + np.geomspace(1e-10, 3.0, 15), np.geomspace(4.5, 1e12, 15)]):
+        expected = head(y) if y <= 4.0 else profile.L_p - tail(y)
+        assert time_map(profile, y) == expected, y
+
+
+def test_time_map_far_tail_near_p_1():
+    # at p = 1.05, L_p - T(y) = B_x(a, 1/2) / (p+1) with x = y^(-(p+1)) decays
+    # like y^(-(p-1)/2) / (a (p+1)), so it is still ~1e-5 L_p at y = 1e300
+    p = 1.05
+    profile = make_profile(p)
+    for y in (1e100, 1e160, 1e200, 1e300):
+        with mpmath.workdps(50):
+            P = mpmath.mpf(p)
+            a = (P - 1) / (2 * (P + 1))
+            rest = mpmath.betainc(a, mpmath.mpf(1) / 2, 0, mpmath.mpf(y) ** (-(P + 1))) / (P + 1)
+        assert abs((profile.L_p - time_map(profile, y)) - rest) <= 1e-14 * profile.L_p, y
