@@ -36,7 +36,7 @@ from .bifurcation import (
     sweep,
 )
 from .expcase import make_exp_problem_spec, solve_exp
-from .norms import ExponentError, make_norm_table, validate_exponents
+from .norms import ExponentError, make_norm_table
 from .exprdsl import ParseError
 from .scenarios import get_scenario, scenario_problem
 from .timemap import make_profile
@@ -149,9 +149,6 @@ def _power_problem(cfg: dict):
         raise UsageError("a problem is required: --scenario NAME or --A/--B expressions")
     p = float(_need(cfg, "p"))
     q1, q2, r1, r2 = (float(_need(cfg, k)) for k in ("q1", "q2", "r1", "r2"))
-    violations = validate_exponents(p, q1, q2, r1, r2)
-    if violations:
-        raise ExponentError(violations)
     table = make_norm_table(p, q1, q2, r1, r2)
     if has_scenario:
         scenario = get_scenario(cfg["scenario"], cfg.get("params") or None)
@@ -221,9 +218,6 @@ def _root_row(root) -> list:
 def cmd_norms(cfg: dict) -> int:
     p = float(_need(cfg, "p"))
     q1, q2, r1, r2 = (float(_need(cfg, k)) for k in ("q1", "q2", "r1", "r2"))
-    violations = validate_exponents(p, q1, q2, r1, r2)
-    if violations:
-        raise ExponentError(violations)
     table = make_norm_table(p, q1, q2, r1, r2)
     entries = [("mu_p", table.mu_p), ("L_p", table.L_p), ("n_q1", table.n_q1),
                ("n_q2", table.n_q2), ("m_r1", table.m_r1), ("m_r2", table.m_r2)]

@@ -36,8 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath
-
 from .bifurcation import ProblemSpec, SolveResult, make_problem_spec, solve_single
 from .norms import NormTable
 
@@ -157,9 +155,10 @@ def analytic_roots(scenario: Scenario, table: NormTable, lam: float,
                    max_roots: int = 64) -> list[float] | None:
     """Closed-form (or independently solved) roots in ascending order.
 
-    cor3 returns the first max_roots band solutions; cor4 evaluates the two
-    Lambert-W branches in high precision.  Returns None when no closed form
-    applies (count zero returns an empty list).
+    cor3 returns the first max_roots band solutions; cor4 finds the
+    logarithms of its two roots by Newton's method in double precision.
+    Returns None when no closed form applies (count zero returns an empty
+    list).
     """
     n1, n2, m1, m2 = table.n_q1, table.n_q2, table.m_r1, table.m_r2
     p = table.p
@@ -188,17 +187,36 @@ def analytic_roots(scenario: Scenario, table: NormTable, lam: float,
             k += 1
         return sorted(set(out))[:max_roots]
     if scenario.name == "cor4":
-        # e^s s^(1-p) = c  <=>  s e^(-s/(p-1)) = c^(-1/(p-1)); the two
-        # positive solutions are -(p-1) W_k(-c^(-1/(p-1)) / (p-1)), k = 0, -1
-        c = lam * n1 ** (1.0 - p)
-        arg = -mpmath.mpf(c) ** (-1.0 / (p - 1.0)) / (p - 1.0)
-        if arg < -mpmath.exp(-1):
+        # e^s s^(1-p) = lam n1^(1-p); in u = ln s this is psi(u) = 0 with
+        # psi(u) = e^u - m u - L, m = p-1, L = ln lam + (1-p) ln n1.  psi is
+        # convex with its minimum at ln m, so Newton started where psi > 0
+        # moves monotonically to the root on that side.  It stops where
+        # rounding ends that: at psi <= 0, a step across ln m, or no move.
+        m = p - 1.0
+        L = math.log(lam) + (1.0 - p) * math.log(n1)
+        u_min = math.log(m)
+
+        def psi(u: float) -> float:
+            return math.exp(u) - m * u - L
+
+        if psi(u_min) > 0.0:
             return []
+        d = 1.0
+        while psi(u_min + d) <= 0.0:
+            d *= 2.0
         roots = []
-        for branch in (0, -1):
-            w = mpmath.lambertw(arg, branch)
-            roots.append(float(-(p - 1.0) * mpmath.re(w)))
-        return sorted(roots)
+        for u in (-L / m, u_min + d):
+            side = u - u_min
+            for _ in range(200):
+                f, slope = psi(u), math.exp(u) - m
+                nxt = u - f / slope if f > 0.0 and slope * side > 0.0 else u
+                if nxt == u or (nxt - u_min) * side <= 0.0:
+                    break
+                u = nxt
+            else:
+                raise RuntimeError(f"cor4 Newton iteration did not converge at lambda={lam!r}")
+            roots.append(math.exp(u))
+        return roots
     return None
 
 

@@ -203,6 +203,9 @@ def time_map_inverse(profile: Profile, z: float) -> float:
     lo = max(_SPLIT, y0)
     hi = max(1e3 * y0, 2.0 * lo)
     flo = time_map(profile, lo) - z
+    if flo > 0.0:
+        # near p = 1 rounding can put T(y0) above z; T(_SPLIT) < z here
+        lo, flo = _SPLIT, _z_split(p) - z
     fhi = time_map(profile, hi) - z
     expand = 0
     while fhi < 0.0 and expand < 60:

@@ -53,10 +53,12 @@ def test_norms_oracle_flag(capsys):
 
 
 def test_norms_exponent_violation_exits_2(capsys):
-    code, _, err = run_cli(["norms", "--p", "3", "--q1", "1.0", "--q2", "0.7",
-                            "--r1", "0.2", "--r2", "0.3"], capsys)
-    assert code == 2
-    assert "q1" in err and "(p-1)/2" in err
+    bad = ["--p", "3", "--q1", "1.0", "--q2", "0.7", "--r1", "0.2", "--r2", "0.3"]
+    for argv in (["norms", *bad], ["roots", *bad, "--scenario", "cor1", "--lambda", "1"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: q1 = 1.0 violates q1 < (p-1)/2 = 1.0\n"
 
 
 def test_roots_trivial_coefficients(capsys):
@@ -261,10 +263,11 @@ def test_norms_overflow_exits_2(capsys):
 
 def test_verify_unbracketed_inverse_exits_2(capsys):
     # exit 1 is reserved for failed checks; a solver failure is exit 2
-    code, out, err = run_cli(["verify", "--ps", "1.05", "40"], capsys)
+    # (at p = 1.02 the Newton slope y^(p+1) of the time-map inverse overflows)
+    code, out, err = run_cli(["verify", "--ps", "1.02"], capsys)
     assert code == 2
     assert out == ""
-    _one_line_error(err, "RuntimeError")
+    _one_line_error(err, "OverflowError")
 
 
 OVERFLOW_BOTH = ["roots", *BASE, "--A", "exp(s)", "--B", "exp(t)", "--lambda", "1"]
@@ -287,9 +290,10 @@ def test_roots_with_both_coefficients_overflowing_narrow_window(capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy is not a dependency; a fresh import of the CLI must not load it
+    # numpy is the only runtime dependency; a fresh import of the CLI must
+    # load neither scipy nor mpmath
     script = ("import sys, blowup.cli; "
-              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -1,9 +1,13 @@
 """Catalog scenarios: engine results against the analytic structure."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blowup.bifurcation import solve_single, sweep
 from blowup.norms import make_norm_table
@@ -119,6 +123,37 @@ def test_cor4_counts_and_roots(setup3):
     assert rep2.passed, rep2.messages
     assert rep2.solve.count == 2
     assert max(rep2.root_errors) <= 1e-8
+
+
+def _cor4_lambertw(p: float, n1: float, lam: float) -> list[float]:
+    """Both cor4 roots -(p-1) W_k(-c^(-1/(p-1)) / (p-1)), k = 0, -1, c = lam n1^(1-p),
+    at 50 digits from the exact doubles p, n1, lam."""
+    with mpmath.workdps(50):
+        m = mpmath.mpf(p) - 1
+        c = mpmath.mpf(lam) * mpmath.mpf(n1) ** (-m)
+        arg = -c ** (-1 / m) / m
+        if arg < -mpmath.exp(-1):
+            return []
+        return sorted(float(-m * mpmath.re(mpmath.lambertw(arg, k))) for k in (0, -1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(1.05, 50.0), q1_frac=st.floats(0.1, 0.9),
+       log_gap=st.floats(-10.0, 30.0), above=st.booleans())
+def test_cor4_roots_match_lambertw(p, q1_frac, log_gap, above):
+    q1, q2, r1, r2 = default_exponents(p)
+    table = make_norm_table(p, q1_frac * (p - 1.0) / 2.0, q2, r1, r2)
+    sc = get_scenario("cor4")
+    th = analytic_thresholds(sc, table)[0]
+    gap = 10.0 ** log_gap
+    lam = th * (1.0 + gap) if above else th / (1.0 + gap)
+    expected = _cor4_lambertw(p, table.n_q1, lam)
+    assume(all(sys.float_info.min <= s <= sys.float_info.max for s in expected))
+    got = analytic_roots(sc, table, lam)
+    assert len(got) == len(expected) == (2 if above else 0)
+    tol = 1e-11 if gap >= 1e-6 else 1e-8
+    for s, ref in zip(got, expected):
+        assert abs(s - ref) <= tol * ref, (s, ref)
 
 
 def test_cor4_asymptotic_trends():

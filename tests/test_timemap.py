@@ -206,3 +206,16 @@ def test_time_map_far_tail_near_p_1():
             a = (P - 1) / (2 * (P + 1))
             rest = mpmath.betainc(a, mpmath.mpf(1) / 2, 0, mpmath.mpf(y) ** (-(P + 1))) / (P + 1)
         assert abs((profile.L_p - time_map(profile, y)) - rest) <= 1e-14 * profile.L_p, y
+
+
+@pytest.mark.parametrize("p", [1.05, 1.1])
+def test_inverse_brackets_near_p_1(p):
+    # near p = 1 the tail lower bound y0 rounds to T(y0) > z at many points;
+    # the bracket then restarts from the head/tail switch point
+    profile = make_profile(p)
+    zs = profile.L_p * np.linspace(0.0, 1.0, 2501)[:-1]
+    ys = [time_map_inverse(profile, float(z)) for z in zs]
+    for z, y in zip(zs, ys):
+        assert abs(time_map(profile, y) - z) <= 1e-12 * profile.L_p, z
+    for z, y in zip(zs[::50], ys[::50]):
+        assert y == pytest.approx(bisection_inverse(profile, float(z)), rel=1e-9), z
