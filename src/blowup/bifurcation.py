@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .exprdsl import CoeffExpr, EvalError, eval_array, eval_expr, parse
+from .exprdsl import CoeffExpr, EvalError, compile_expr, eval_array, eval_expr, parse
 from .norms import ExponentError, NormTable, make_norm_table, validate_exponents
 from .timemap import Profile, ProfileSample, eval_U, sample_profile, symmetric_grid
 
@@ -207,34 +208,49 @@ def default_window(table: NormTable) -> tuple[float, float]:
     return (1e-6 * table.n_q1, 1e6 * table.n_q1)
 
 
-def _coeff_points(table: NormTable, s: float) -> tuple[float, float, float]:
-    n1 = table.n_q1
-    return (table.m_r1 / n1 * s, table.n_q2 / n1 * s, table.m_r2 / n1 * s)
-
-
 def g_of_s(spec: ProblemSpec, table: NormTable, s: float) -> float:
     """g(s) = s^(1-p) A(s, t1(s)) / B(s2(s), t2(s)); strict scalar path.
 
     Raises CoefficientError if A or B is nonpositive or non-finite at the
     scaled arguments.
     """
-    if not (s > 0.0) or not math.isfinite(s):
-        raise ValueError(f"g is defined for finite s > 0, got {s!r}")
-    t1a, s2a, t2a = _coeff_points(table, s)
+    return _g_kernel(spec, table)(s)
+
+
+def _g_kernel(spec: ProblemSpec, table: NormTable) -> Callable[[float], float]:
+    """g_of_s as a function of s alone, for one (spec, table).
+
+    Both coefficients are compiled once with their parameters bound, and
+    the ratios t1/s, s2/s, t2/s are computed once; each call then makes the
+    same float operations as g_of_s does and raises the same errors.
+    """
     bound = spec.bound_params()
-    try:
-        a_val = eval_expr(spec.A, s, t1a, bound)
-    except EvalError as exc:
-        raise CoefficientError("A", s, t1a, str(exc)) from exc
-    try:
-        b_val = eval_expr(spec.B, s2a, t2a, bound)
-    except EvalError as exc:
-        raise CoefficientError("B", s2a, t2a, str(exc)) from exc
-    if a_val <= 0.0:
-        raise CoefficientError("A", s, t1a, f"nonpositive value {a_val!r}")
-    if b_val <= 0.0:
-        raise CoefficientError("B", s2a, t2a, f"nonpositive value {b_val!r}")
-    return s ** (1.0 - spec.p) * a_val / b_val
+    coeff_a = compile_expr(spec.A, bound)
+    coeff_b = compile_expr(spec.B, bound)
+    n1 = table.n_q1
+    ratio_t1, ratio_s2, ratio_t2 = table.m_r1 / n1, table.n_q2 / n1, table.m_r2 / n1
+    exponent = 1.0 - spec.p
+    isfinite = math.isfinite
+
+    def g(s: float) -> float:
+        if not (s > 0.0) or not isfinite(s):
+            raise ValueError(f"g is defined for finite s > 0, got {s!r}")
+        t1a, s2a, t2a = ratio_t1 * s, ratio_s2 * s, ratio_t2 * s
+        try:
+            a_val = coeff_a(float(s), float(t1a))
+        except EvalError as exc:
+            raise CoefficientError("A", s, t1a, str(exc)) from exc
+        try:
+            b_val = coeff_b(float(s2a), float(t2a))
+        except EvalError as exc:
+            raise CoefficientError("B", s2a, t2a, str(exc)) from exc
+        if a_val <= 0.0:
+            raise CoefficientError("A", s, t1a, f"nonpositive value {a_val!r}")
+        if b_val <= 0.0:
+            raise CoefficientError("B", s2a, t2a, f"nonpositive value {b_val!r}")
+        return s ** exponent * a_val / b_val
+
+    return g
 
 
 def _g_array(spec: ProblemSpec, table: NormTable, s: np.ndarray) -> np.ndarray:
@@ -498,9 +514,10 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
     target = lam * table.n_q1 ** (1.0 - spec.p)
     grid, g_grid = _scan(spec, table, (s_lo, s_hi), n_grid) if _scanned is None else _scanned
     h_grid = g_grid - target
+    g = _g_kernel(spec, table)
 
     def h(s: float) -> float:
-        return g_of_s(spec, table, s) - target
+        return g(s) - target
 
     sign = np.sign(h_grid)
     events = _events(grid, sign, np.abs(h_grid), _CANDIDATE_TOL * abs(target))

@@ -12,19 +12,24 @@ Grammar (EBNF, also shipped in docs/grammar.ebnf):
 "-2^2" is -(2^2) = -4.  There is no implicit multiplication: "2s" is a
 syntax error.  NAME is a variable (s or t), a known function
 (sin, cos, exp, log, sqrt, abs), or a free parameter bound at evaluation
-time.  Whitespace is insignificant.
+time.  Whitespace is insignificant.  NUMBER must be a finite double: a
+literal that overflows, such as 1e999, is a syntax error.
 
-Evaluation is plain IEEE double arithmetic.  Domain violations (log of a
-nonpositive value, division by zero, fractional power of a negative base,
-overflow to infinity) raise EvalError naming the offending subexpression
-instead of propagating silent NaNs.
+Evaluation is plain IEEE double arithmetic.  An expression is compiled
+once into nested closures (compile_expr), which perform the same IEEE
+operations in the same order as a walk of the tree, so compiling changes
+no result bit.  Domain violations (log of a nonpositive value, division
+by zero, fractional power of a negative base, overflow to infinity) raise
+EvalError naming the offending subexpression instead of propagating
+silent NaNs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -35,6 +40,7 @@ __all__ = [
     "PositivityReport",
     "parse",
     "to_text",
+    "compile_expr",
     "eval_expr",
     "eval_array",
     "positivity_scan",
@@ -177,9 +183,11 @@ def _tokenize(src: str) -> list[_Token]:
                         j += 1
             text = src[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ParseError(f"malformed number '{text}'", i) from None
+            if not math.isfinite(value):
+                raise ParseError(f"number out of range '{text}'", i)
             tokens.append(_Token("number", text, i))
             i = j
         elif c.isalpha() or c == "_":
@@ -337,6 +345,36 @@ def to_text(expr: CoeffExpr) -> str:
 # evaluation
 
 
+_Fn = Callable[[float, float], float]
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# functions defined on every finite double
+_TOTAL_FUNCS = {"sin": math.sin, "cos": math.cos, "abs": abs}
+
+
+def compile_expr(expr: CoeffExpr, params: dict[str, float] | None = None,
+                 variables: tuple[str, ...] = VARIABLES) -> _Fn:
+    """Compile expr once into a function f(s, t) -> float of two floats.
+
+    Names in ``variables`` are read from the arguments; every other name is
+    bound from params now, converted by float(), and an unbound one raises
+    EvalError when f reaches it.  f makes the same math calls and float
+    operations, in the same order, as evaluating the tree node by node, and
+    raises the same EvalError (message and subexpression) at the same point;
+    like eval_expr, it rejects a non-finite result.
+    """
+    root = _compile(expr.ast, params or {}, variables)
+    ast = expr.ast
+    isfinite = math.isfinite
+
+    def evaluate(s: float, t: float) -> float:
+        value = root(s, t)
+        if not isfinite(value):
+            raise EvalError(f"non-finite result {value!r}", ast)
+        return value
+
+    return evaluate
+
+
 def eval_expr(expr: CoeffExpr, s: float | None = None, t: float | None = None,
               params: dict[str, float] | None = None) -> float:
     """Evaluate at (s, t) with all free parameters bound.
@@ -349,73 +387,125 @@ def eval_expr(expr: CoeffExpr, s: float | None = None, t: float | None = None,
         env["s"] = float(s)
     if t is not None:
         env["t"] = float(t)
-    value = _eval(expr.ast, env)
-    if not math.isfinite(value):
-        raise EvalError(f"non-finite result {value!r}", expr.ast)
-    return value
+    # every name, s and t included, is bound from env; the arguments are unused
+    return compile_expr(expr, env, variables=())(s, t)
 
 
-def _eval(node: Node, env: dict[str, float]) -> float:
+def _compile(node: Node, env: dict[str, float], variables: tuple[str, ...]) -> _Fn:
+    """The closure f(s, t) for one node; see compile_expr."""
     if isinstance(node, Num):
-        return node.value
+        value = node.value
+        return lambda s, t: value
     if isinstance(node, Name):
-        try:
-            return float(env[node.ident])
-        except KeyError:
-            raise EvalError(f"unbound parameter {node.ident!r}", node) from None
+        ident = node.ident
+        if ident in variables:
+            return (lambda s, t: s) if ident == "s" else (lambda s, t: t)
+        if ident in env:
+            bound = float(env[ident])
+            return lambda s, t: bound
+
+        def unbound(s, t):
+            raise EvalError(f"unbound parameter {ident!r}", node)
+        return unbound
     if isinstance(node, Neg):
-        return -_eval(node.operand, env)
+        operand = _compile(node.operand, env, variables)
+        return lambda s, t: -operand(s, t)
     if isinstance(node, Call):
-        arg = _eval(node.arg, env)
-        if node.func == "log":
-            if arg <= 0.0:
-                raise EvalError(f"log of nonpositive value {arg!r}", node)
-            return math.log(arg)
-        if node.func == "sqrt":
-            if arg < 0.0:
-                raise EvalError(f"sqrt of negative value {arg!r}", node)
-            return math.sqrt(arg)
-        if node.func == "exp":
-            try:
-                return math.exp(arg)
-            except OverflowError:
-                raise EvalError(f"exp overflow at argument {arg!r}", node) from None
-        if node.func == "sin":
-            return math.sin(arg)
-        if node.func == "cos":
-            return math.cos(arg)
-        if node.func == "abs":
-            return abs(arg)
-        raise EvalError(f"unknown function {node.func!r}", node)
+        return _compile_call(node, _compile(node.arg, env, variables))
     if isinstance(node, Bin):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        try:
-            if node.op == "+":
-                out = a + b
-            elif node.op == "-":
-                out = a - b
-            elif node.op == "*":
-                out = a * b
-            elif node.op == "/":
+        left = _compile(node.left, env, variables)
+        right = _compile(node.right, env, variables)
+        op = node.op
+        isinf = math.isinf
+        if op in _ARITH:
+            arith = _ARITH[op]
+
+            def f(s, t):
+                a = left(s, t)
+                b = right(s, t)
+                try:
+                    out = arith(a, b)
+                except OverflowError:
+                    raise EvalError("overflow", node) from None
+                if isinf(out):
+                    raise EvalError("overflow to infinity", node)
+                return out
+        elif op == "/":
+            def f(s, t):
+                a = left(s, t)
+                b = right(s, t)
                 if b == 0.0:
                     raise EvalError("division by zero", node)
-                out = a / b
-            elif node.op == "^":
+                try:
+                    out = a / b
+                except OverflowError:
+                    raise EvalError("overflow", node) from None
+                if isinf(out):
+                    raise EvalError("overflow to infinity", node)
+                return out
+        elif op == "^":
+            floor, power = math.floor, math.pow
+
+            def f(s, t):
+                a = left(s, t)
+                b = right(s, t)
                 if a == 0.0 and b < 0.0:
                     raise EvalError("zero raised to a negative power", node)
-                if a < 0.0 and b != math.floor(b):
-                    raise EvalError(
-                        f"negative base {a!r} with non-integer exponent {b!r}", node)
-                out = math.pow(a, b)
-            else:
-                raise EvalError(f"unknown operator {node.op!r}", node)
-        except OverflowError:
-            raise EvalError("overflow", node) from None
-        if math.isinf(out):
-            raise EvalError("overflow to infinity", node)
-        return out
+                try:
+                    # floor raises OverflowError for an infinite exponent
+                    if a < 0.0 and b != floor(b):
+                        raise EvalError(
+                            f"negative base {a!r} with non-integer exponent {b!r}", node)
+                    out = power(a, b)
+                except OverflowError:
+                    raise EvalError("overflow", node) from None
+                if isinf(out):
+                    raise EvalError("overflow to infinity", node)
+                return out
+        else:
+            def f(s, t):
+                left(s, t)
+                right(s, t)
+                raise EvalError(f"unknown operator {op!r}", node)
+        return f
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _compile_call(node: Call, arg: _Fn) -> _Fn:
+    func = node.func
+    if func == "log":
+        log = math.log
+
+        def f(s, t):
+            x = arg(s, t)
+            if x <= 0.0:
+                raise EvalError(f"log of nonpositive value {x!r}", node)
+            return log(x)
+    elif func == "sqrt":
+        sqrt = math.sqrt
+
+        def f(s, t):
+            x = arg(s, t)
+            if x < 0.0:
+                raise EvalError(f"sqrt of negative value {x!r}", node)
+            return sqrt(x)
+    elif func == "exp":
+        exp = math.exp
+
+        def f(s, t):
+            x = arg(s, t)
+            try:
+                return exp(x)
+            except OverflowError:
+                raise EvalError(f"exp overflow at argument {x!r}", node) from None
+    elif func in _TOTAL_FUNCS:
+        total = _TOTAL_FUNCS[func]
+        return lambda s, t: total(arg(s, t))
+    else:
+        def f(s, t):
+            arg(s, t)
+            raise EvalError(f"unknown function {func!r}", node)
+    return f
 
 
 def eval_array(expr: CoeffExpr, s=None, t=None,
@@ -425,6 +515,8 @@ def eval_array(expr: CoeffExpr, s=None, t=None,
     Domain violations surface as NaN/inf in the result instead of raising
     (invalid-operation warnings are suppressed); callers scanning grids
     inspect finiteness themselves.  Unbound names still raise EvalError.
+    The result has the broadcast shape of s and t, also when the
+    expression uses neither.
     """
     env: dict[str, object] = dict(params or {})
     if s is not None:
@@ -432,8 +524,11 @@ def eval_array(expr: CoeffExpr, s=None, t=None,
     if t is not None:
         env["t"] = np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):
-        out = _eval_np(expr.ast, env)
-    return np.asarray(out, dtype=float)
+        out = np.asarray(_eval_np(expr.ast, env), dtype=float)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (s, t) if v is not None))
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).copy()
+    return out
 
 
 _NP_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,

@@ -263,7 +263,7 @@ def test_criterion_9_exponential_case():
                norm_ok and indep_ok and residual_ok and back_ok)
 
 
-def test_criterion_10_sweep_determinism(tmp_path):
+def test_criterion_10_sweep_determinism(tmp_path, child_env):
     cfg = {"p": 3.0, "q1": 0.5, "q2": 0.7, "r1": 0.2, "r2": 0.3, "scenario": "cor4",
            "lambda_min": 100.0, "lambda_max": 2000.0, "lambda_n": 4, "format": "csv"}
     cfg_path = tmp_path / "cfg.json"
@@ -274,7 +274,7 @@ def test_criterion_10_sweep_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "blowup", "sweep", "--config", str(cfg_path),
              "--output", str(out)],
-            capture_output=True, env={**__import__("os").environ, "BLOWUP_THREADS": threads})
+            capture_output=True, env={**child_env, "BLOWUP_THREADS": threads})
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     ok = outputs[0] == outputs[1] and len(outputs[0]) > 0

@@ -1,6 +1,7 @@
 """Scalar reduction engine: g, root solving, quadruple lift, reconstruction."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from blowup import bifurcation
 from blowup.bifurcation import (
     CoefficientError,
     _events,
+    default_window,
     g_of_s,
     lift_quadruple,
     make_problem_spec,
@@ -23,7 +25,13 @@ from blowup.bifurcation import (
 )
 from blowup.norms import ExponentError, make_norm_table
 from blowup.oracles import norm_x_quadrature
-from blowup.scenarios import analytic_thresholds, get_scenario, scenario_problem
+from blowup.scenarios import (
+    analytic_thresholds,
+    default_exponents,
+    get_scenario,
+    scenario_problem,
+)
+from exprdsl_reference import reference_g_of_s
 from blowup.timemap import eval_U, eval_U_prime
 
 
@@ -377,6 +385,26 @@ def test_brent_bit_identical_to_scipy_on_scenarios(name, monkeypatch):
     assert calls
     for f, xa, xb, kwargs, root in calls:
         assert brentq(f, xa, xb, **kwargs) == root
+
+
+def _g_outcome(g, *args):
+    try:
+        return struct.pack("<d", g(*args))
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("p", [3.0, 6.5])
+@pytest.mark.parametrize("name", ["cor1", "cor2", "cor3", "cor4"])
+def test_g_kernel_matches_tree_walk_on_scan_grid(name, p):
+    table = make_norm_table(p, *default_exponents(p))
+    spec = scenario_problem(get_scenario(name), p, *default_exponents(p))
+    kernel = bifurcation._g_kernel(spec, table)
+    grid = np.geomspace(*default_window(table), 4096)
+    for s in [*grid, *grid.tolist()]:  # numpy and Python floats
+        reference = _g_outcome(reference_g_of_s, spec, table, s)
+        assert _g_outcome(kernel, s) == reference
+        assert _g_outcome(g_of_s, spec, table, s) == reference
 
 
 def _outcome(solver, f, xa, xb, **kwargs):

@@ -127,6 +127,23 @@ def test_roots_positivity_scan_on_custom_coefficients(capsys):
     assert "positivity" in err
 
 
+def test_constant_nonpositive_coefficient_exits_2(capsys):
+    code, out, err = run_cli(["roots", *BASE, "--A", "-1", "--B", "s+t",
+                              "--lambda", "2000"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: coefficient A at (s=")
+    assert err.rstrip().endswith("positivity scan found value -1.0")
+
+
+def test_overflowing_literal_exits_2(capsys):
+    code, out, err = run_cli(["exp", "--r1", "0.3", "--r2", "0.3", "--A", "sin(1e999)",
+                              "--B", "1", "--lambda", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: number out of range '1e999' at offset 4\n"
+
+
 def test_sweep_log_spacing_exact(capsys):
     code, out, _ = run_cli(["sweep", *BASE, "--A", "1", "--B", "1",
                             "--lambda-min", "0.01", "--lambda-max", "100",
@@ -204,9 +221,9 @@ def test_output_file_deterministic_across_threads(tmp_path, monkeypatch, capsys)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_console_entry_point():
+def test_console_entry_point(child_env):
     proc = subprocess.run([sys.executable, "-m", "blowup", "norms", *BASE],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("name,value")
 
@@ -289,11 +306,12 @@ def test_roots_with_both_coefficients_overflowing_narrow_window(capsys):
     assert [row[5] for row in rows] == ["transversal"]
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(child_env):
     # numpy is the only runtime dependency; a fresh import of the CLI must
     # load neither scipy nor mpmath
     script = ("import sys, blowup.cli; "
               "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -2,25 +2,32 @@
 
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup.exprdsl import (
     Bin,
     Call,
+    CoeffExpr,
     EvalError,
     FUNCTIONS,
     Name,
     Neg,
     Num,
     ParseError,
+    VARIABLES,
+    compile_expr,
     eval_array,
     eval_expr,
     parse,
     positivity_scan,
     to_text,
 )
+from exprdsl_reference import reference_eval_expr
 
 
 def test_precedence_goldens():
@@ -57,6 +64,10 @@ def test_syntax_error_positions():
     assert "')'" in str(err.value)
     with pytest.raises(ParseError):
         parse("")
+    with pytest.raises(ParseError) as err:
+        parse("sin(1e999)")
+    assert err.value.offset == 4
+    assert "number out of range '1e999'" in str(err.value)
 
 
 def test_unknown_function():
@@ -117,8 +128,6 @@ def _random_tree(rng: random.Random, depth: int):
 
 
 def test_round_trip_structural_identity():
-    from blowup.exprdsl import CoeffExpr
-
     rng = random.Random(20240817)
     for _ in range(800):
         tree = _random_tree(rng, 8)
@@ -137,6 +146,13 @@ def test_eval_array_matches_scalar():
         assert arr[i] == pytest.approx(eval_expr(expr, s[i], t[i], {"p": 3.0}), rel=1e-15)
 
 
+def test_eval_array_constant_takes_the_input_shape():
+    s = np.geomspace(1.0, 2.0, 6).reshape(2, 3)
+    out = eval_array(parse("2*p"), s, np.ones(3), {"p": 1.5})
+    assert out.shape == (2, 3) and (out == 3.0).all()
+    assert eval_array(parse("1")).shape == ()
+
+
 def test_eval_array_nan_instead_of_raise():
     out = eval_array(parse("log(s-5)"), np.array([1.0, 6.0]), np.array([1.0, 1.0]))
     assert not np.isfinite(out[0]) and np.isfinite(out[1])
@@ -148,7 +164,62 @@ def test_positivity_scan():
     report = positivity_scan(parse("t-5"), {}, (1.0, 10.0), (1.0, 10.0), 12)
     assert not report.ok
     assert report.counterexample[1] < 5.0
+    report = positivity_scan(parse("-1"), {}, (1.0, 2.0), (1.0, 2.0))
+    assert not report.ok
+    assert report.counterexample == (1.0, 1.0) and report.value == -1.0
     with pytest.raises(EvalError):
         positivity_scan(parse("a*s"), {}, (1.0, 2.0), (1.0, 2.0), 4)
     with pytest.raises(ValueError):
         positivity_scan(parse("s"), {}, (1.0, 2.0), (1.0, 2.0), 1)
+
+
+# ----------------------------------------------------------------------
+# properties over random parser-producible trees
+
+_PARAMS = ("a", "b", "p")
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_asts = st.recursive(
+    st.one_of(st.floats(min_value=0.0, allow_infinity=False).map(Num),
+              st.sampled_from(VARIABLES + _PARAMS).map(Name)),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(Bin, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(FUNCTIONS), sub)),
+    max_leaves=12).map(lambda ast: CoeffExpr(ast=ast))
+_param_dicts = st.dictionaries(st.sampled_from(_PARAMS), _finite)
+
+
+def _outcome(fn, *args):
+    """A value as its bits, or an exception as type, message and subexpression."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc), getattr(exc, "subexpr", None)
+    return "value", struct.pack("<d", value)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_asts, st.none() | _finite, st.none() | _finite, _param_dicts)
+def test_compiled_matches_tree_walk(expr, s, t, params):
+    reference = _outcome(reference_eval_expr, expr, s, t, params)
+    assert _outcome(eval_expr, expr, s, t, params) == reference
+    if s is not None and t is not None:
+        assert _outcome(compile_expr(expr, params), s, t) == reference
+
+
+@settings(max_examples=500, deadline=None)
+@given(_asts, _finite, _finite, _param_dicts)
+def test_eval_array_agrees_with_eval_expr(expr, s, t, params):
+    try:
+        scalar = eval_expr(expr, s, t, params)
+    except EvalError:
+        return
+    array = float(eval_array(expr, np.array([s]), np.array([t]), params)[0])
+    if math.isfinite(array):
+        assert abs(array - scalar) <= 1e-12 * max(abs(array), abs(scalar))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_asts)
+def test_printer_round_trips(expr):
+    assert parse(to_text(expr)).ast == expr.ast
