@@ -38,7 +38,15 @@ from typing import Callable
 
 import numpy as np
 
-from .exprdsl import CoeffExpr, EvalError, compile_expr, eval_array, eval_expr, parse
+from .exprdsl import (
+    CoeffExpr,
+    EvalError,
+    check_param_values,
+    compile_expr,
+    eval_array,
+    eval_expr,
+    parse,
+)
 from .norms import ExponentError, NormTable, make_norm_table, validate_exponents
 from .timemap import Profile, ProfileSample, eval_U, sample_profile, symmetric_grid
 
@@ -107,9 +115,10 @@ def make_problem_spec(p: float, q1: float, q2: float, r1: float, r2: float,
     """Parse and validate a problem instance.
 
     Checks the exponent assumption, rejects user parameters that shadow the
-    reserved names (s, t, p, q1, q2, r1, r2 are auto-bound), requires every
-    free parameter of A and B to be bound, and (by default) runs the
-    advisory positivity scan over the default solver window.
+    reserved names (s, t, p, q1, q2, r1, r2 are auto-bound) or are not
+    finite numbers, requires every free parameter of A and B to be bound,
+    and (by default) runs the advisory positivity scan over the default
+    solver window.
     """
     violations = validate_exponents(p, q1, q2, r1, r2)
     if violations:
@@ -118,6 +127,7 @@ def make_problem_spec(p: float, q1: float, q2: float, r1: float, r2: float,
     for name in params:
         if name in RESERVED_PARAMS:
             raise ValueError(f"parameter name {name!r} is reserved (auto-bound)")
+    check_param_values(params)
     A = parse(A) if isinstance(A, str) else A
     B = parse(B) if isinstance(B, str) else B
     spec = ProblemSpec(p=float(p), q1=float(q1), q2=float(q2),
@@ -444,6 +454,8 @@ def _checked_window(table: NormTable,
     s_lo, s_hi = float(window[0]), float(window[1])
     if not (0.0 < s_lo < s_hi):
         raise ValueError(f"window must satisfy 0 < s_lo < s_hi, got {window!r}")
+    if not math.isfinite(s_hi):
+        raise ValueError(f"window must end at a finite s, got {window!r}")
     return s_lo, s_hi
 
 
@@ -456,6 +468,29 @@ def _scan(spec: ProblemSpec, table: NormTable, window: tuple[float, float],
     """
     grid = np.geomspace(window[0], window[1], n_grid)
     return grid, _g_array(spec, table, grid)
+
+
+@dataclass(frozen=True)
+class _SweepContext:
+    """What every solve of one sweep shares, since g does not depend on lambda.
+
+    ``grid``/``g_grid`` are the window's ``_scan``, ``g`` is the one scalar g
+    kernel, and ``g_fixed`` maps the lambda-independent points the solves
+    visit (golden-section nodes of dips, the edge probes) to g there, so
+    each of them is computed once per sweep.  A point where g raises is not
+    kept: it raises again on every visit.
+    """
+
+    grid: np.ndarray
+    g_grid: np.ndarray
+    g: Callable[[float], float]
+    g_fixed: dict[float, float]
+
+
+def _sweep_context(spec: ProblemSpec, table: NormTable, window: tuple[float, float],
+                   n_grid: int) -> _SweepContext:
+    grid, g_grid = _scan(spec, table, window, n_grid)
+    return _SweepContext(grid=grid, g_grid=g_grid, g=_g_kernel(spec, table), g_fixed={})
 
 
 # event codes in _events are indices into this tuple; 0 means no event
@@ -489,7 +524,7 @@ def _events(grid: np.ndarray, sign: np.ndarray, abs_h: np.ndarray,
 def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
                  window: tuple[float, float] | None = None,
                  count_cap: int = 64, n_grid: int = 4096, *,
-                 _scanned: tuple[np.ndarray, np.ndarray] | None = None) -> SolveResult:
+                 _scanned: _SweepContext | None = None) -> SolveResult:
     """All roots of g(s) = lambda ||U||_q1^(1-p) inside the window.
 
     Scans a log-spaced grid, refines sign changes by Brent's method to
@@ -502,8 +537,8 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
     ``count``).  Oscillations faster than the grid near the window ends may
     be undercounted; widen the window or raise n_grid in doubt.
 
-    ``_scanned`` is the ``_scan`` of this window, which ``sweep`` computes
-    once and passes to every solve; n_grid is then ignored.
+    ``_scanned`` is the ``_SweepContext`` of this window, which ``sweep``
+    builds once and passes to every solve; n_grid is then ignored.
     """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
@@ -512,12 +547,29 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
     s_lo, s_hi = _checked_window(table, window)
 
     target = lam * table.n_q1 ** (1.0 - spec.p)
-    grid, g_grid = _scan(spec, table, (s_lo, s_hi), n_grid) if _scanned is None else _scanned
-    h_grid = g_grid - target
-    g = _g_kernel(spec, table)
+    context = _sweep_context(spec, table, (s_lo, s_hi), n_grid) if _scanned is None else _scanned
+    grid = context.grid
+    h_grid = context.g_grid - target
+    g, g_fixed = context.g, context.g_fixed
+    # h at every point this solve has visited: Brent starts from the bracket
+    # ends its caller just evaluated, and push revisits the refined root
+    h_seen: dict[float, float] = {}
 
     def h(s: float) -> float:
-        return g(s) - target
+        value = h_seen.get(s)
+        if value is None:
+            value = h_seen[s] = g(s) - target
+        return value
+
+    def h_fixed(s: float) -> float:
+        """h at a lambda-independent point, with g there shared by the sweep."""
+        value = h_seen.get(s)
+        if value is None:
+            g_s = g_fixed.get(s)
+            if g_s is None:
+                g_s = g_fixed[s] = g(s)
+            value = h_seen[s] = g_s - target
+        return value
 
     sign = np.sign(h_grid)
     events = _events(grid, sign, np.abs(h_grid), _CANDIDATE_TOL * abs(target))
@@ -542,7 +594,7 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
             push(float(grid[i]), "transversal" if left * right < 0.0 else "tangential")
         else:  # dip
             sigma = float(sign[i])
-            s_min, f_min = _golden_min(lambda s: sigma * h(s),
+            s_min, f_min = _golden_min(lambda s: sigma * h_fixed(s),
                                        float(grid[i - 1]), float(grid[i + 1]))
             tol = TANGENT_TOL * abs(target)
             if f_min > tol:
@@ -560,7 +612,7 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
     # probe for roots just outside the window
     window_edge = False
     for outer, inner in ((s_lo / _EDGE_PROBE, s_lo), (s_hi, s_hi * _EDGE_PROBE)):
-        f_out, f_in = _h_or_nan(h, outer), _h_or_nan(h, inner)
+        f_out, f_in = _h_or_nan(h_fixed, outer), _h_or_nan(h_fixed, inner)
         if math.isfinite(f_out) and math.isfinite(f_in) and f_out * f_in < 0.0:
             window_edge = True
             try:
@@ -616,7 +668,7 @@ def nonlocal_residual(spec: ProblemSpec, table: NormTable, profile: Profile,
 
 
 def _locate_threshold(spec: ProblemSpec, table: NormTable, lo: float, hi: float,
-                      count_lo: int, count_hi: int, window, count_cap, scanned,
+                      count_lo: int, count_hi: int, window, count_cap, context,
                       rel_tol: float = 1e-9) -> float:
     """Bisect lambda between differing counts, solving on the sweep's scan.
 
@@ -628,7 +680,7 @@ def _locate_threshold(spec: ProblemSpec, table: NormTable, lo: float, hi: float,
         mid = math.sqrt(lo * hi)
         if (hi - lo) <= rel_tol * mid:
             return mid
-        c = solve_single(spec, table, mid, window, count_cap, _scanned=scanned).count
+        c = solve_single(spec, table, mid, window, count_cap, _scanned=context).count
         if c == count_lo:
             lo = mid
         elif c == count_hi:
@@ -648,7 +700,9 @@ def sweep(spec: ProblemSpec, table: NormTable, lambda_grid,
     band is hit.  A threshold adjacent to an overflow-flagged lambda is
     marked unreliable.  The window is scanned once: g does not depend on
     lambda, so every per-lambda solve and every bisection step reuses the
-    same grid values.  Solves run serially in grid order; ``threads`` is
+    same grid values and the same scalar g kernel, and g at a
+    lambda-independent point they revisit (a golden-section node, an edge
+    probe) is computed once.  Solves run serially in grid order; ``threads`` is
     accepted for compatibility and has no effect.
     """
     lams = [float(l) for l in lambda_grid]
@@ -656,8 +710,8 @@ def sweep(spec: ProblemSpec, table: NormTable, lambda_grid,
         raise ValueError("lambda grid must be positive and strictly increasing")
     if window is None:
         window = default_window(table)
-    scanned = _scan(spec, table, _checked_window(table, window), n_grid)
-    results = [solve_single(spec, table, lam, window, count_cap, _scanned=scanned)
+    context = _sweep_context(spec, table, _checked_window(table, window), n_grid)
+    results = [solve_single(spec, table, lam, window, count_cap, _scanned=context)
                for lam in lams]
 
     thresholds = []
@@ -665,7 +719,7 @@ def sweep(spec: ProblemSpec, table: NormTable, lambda_grid,
         if res_a.count == res_b.count:
             continue
         value = _locate_threshold(spec, table, lam_a, lam_b, res_a.count, res_b.count,
-                                  window, count_cap, scanned)
+                                  window, count_cap, context)
         thresholds.append(Threshold(lam=value, count_below=res_a.count,
                                     count_above=res_b.count,
                                     reliable=not (res_a.overflow or res_b.overflow)))

@@ -86,9 +86,12 @@ def _parse_param(text: str) -> tuple[str, float]:
         raise UsageError(f"--param expects name=value, got {text!r}")
     name, _, value = text.partition("=")
     try:
-        return name.strip(), float(value)
+        number = float(value)
     except ValueError:
         raise UsageError(f"--param {text!r}: value is not a number") from None
+    if not math.isfinite(number):
+        raise UsageError(f"--param {text!r}: value of {name.strip()!r} must be finite")
+    return name.strip(), number
 
 
 def build_config(args: argparse.Namespace) -> dict:
@@ -173,6 +176,9 @@ def _lambda_grid(cfg: dict) -> list[float]:
     spacing = cfg.get("lambda_spacing", "log")
     if n < 2 or lo <= 0.0 or hi <= lo:
         raise UsageError("lambda range needs 0 < lambda_min < lambda_max and lambda_n >= 2")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"lambda range needs finite bounds, got lambda_min={lo!r}, "
+                         f"lambda_max={hi!r}")
     if spacing == "log":
         return [float(v) for v in 10.0 ** np.linspace(math.log10(lo), math.log10(hi), n)]
     if spacing == "linear":

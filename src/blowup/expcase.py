@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprdsl import CoeffExpr, EvalError, eval_expr, parse
+from .exprdsl import CoeffExpr, EvalError, check_param_values, eval_expr, parse
 from .specfun import beta
 from .timemap import ProfileSample, symmetric_grid
 
@@ -102,14 +102,16 @@ def exp_prime_norm(r: float) -> float:
 
 def make_exp_problem_spec(r1: float, r2: float, A: str | CoeffExpr, B: str | CoeffExpr,
                           lam: float, params: dict[str, float] | None = None) -> ExpProblemSpec:
-    """Validate the exponential-case instance: 0 < r1, r2 < 1 strictly, and
-    coefficients may reference only t (the derivative norm) and parameters."""
+    """Validate the exponential-case instance: 0 < r1, r2 < 1 strictly,
+    finite parameter values, and coefficients may reference only t (the
+    derivative norm) and parameters."""
     for name, value in (("r1", r1), ("r2", r2)):
         if not 0.0 < value < 1.0:
             raise ValueError(f"{name} = {value!r} violates 0 < {name} < 1")
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
     params = dict(params or {})
+    check_param_values(params)
     A = parse(A) if isinstance(A, str) else A
     B = parse(B) if isinstance(B, str) else B
     for label, expr in (("A", A), ("B", B)):

@@ -16,18 +16,20 @@ time.  Whitespace is insignificant.  NUMBER must be a finite double: a
 literal that overflows, such as 1e999, is a syntax error.
 
 Evaluation is plain IEEE double arithmetic.  An expression is compiled
-once into nested closures (compile_expr), which perform the same IEEE
-operations in the same order as a walk of the tree, so compiling changes
-no result bit.  Domain violations (log of a nonpositive value, division
-by zero, fractional power of a negative base, overflow to infinity) raise
-EvalError naming the offending subexpression instead of propagating
-silent NaNs.
+once (compile_expr) into generated straight-line Python code, one
+statement group per node, which performs the same IEEE operations in the
+same order as a walk of the tree, so compiling changes no result bit.
+The generated source holds no literal or parameter value: those are bound
+on every compile, and the compiled code is cached per tree.  Domain
+violations (log of a nonpositive value, division by zero, fractional
+power of a negative base, overflow to infinity) raise EvalError naming
+the offending subexpression instead of propagating silent NaNs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -41,6 +43,7 @@ __all__ = [
     "parse",
     "to_text",
     "compile_expr",
+    "check_param_values",
     "eval_expr",
     "eval_array",
     "positivity_scan",
@@ -346,9 +349,12 @@ def to_text(expr: CoeffExpr) -> str:
 
 
 _Fn = Callable[[float, float], float]
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-# functions defined on every finite double
-_TOTAL_FUNCS = {"sin": math.sin, "cos": math.cos, "abs": abs}
+
+# what generated code calls; every other name it reads is an argument (s,
+# t), a temporary, or a slot bound per compile_expr call (see _generate)
+_RUNTIME = {"_EvalError": EvalError, "_isinf": math.isinf, "_isfinite": math.isfinite,
+            "_floor": math.floor, "_pow": math.pow, "_log": math.log, "_sqrt": math.sqrt,
+            "_exp": math.exp, "_sin": math.sin, "_cos": math.cos, "_abs": abs}
 
 
 def compile_expr(expr: CoeffExpr, params: dict[str, float] | None = None,
@@ -357,22 +363,43 @@ def compile_expr(expr: CoeffExpr, params: dict[str, float] | None = None,
 
     Names in ``variables`` are read from the arguments; every other name is
     bound from params now, converted by float(), and an unbound one raises
-    EvalError when f reaches it.  f makes the same math calls and float
-    operations, in the same order, as evaluating the tree node by node, and
-    raises the same EvalError (message and subexpression) at the same point;
-    like eval_expr, it rejects a non-finite result.
+    EvalError when f reaches it.  f is generated straight-line code, one
+    statement group per node in evaluation order, so it makes the same math
+    calls and float operations, in the same order, as evaluating the tree
+    node by node, and raises the same EvalError (message and subexpression)
+    at the same point; like eval_expr, it rejects a non-finite result.
+
+    The generated source depends only on the tree's shape, ``variables`` and
+    which names params binds; literals, parameter values and the nodes named
+    in errors reach f through its globals, bound afresh on every call.  The
+    compiled code is cached on (tree, variables, bound names), so compiling
+    the same expression again costs one tree walk and no compile().
     """
-    root = _compile(expr.ast, params or {}, variables)
-    ast = expr.ast
-    isfinite = math.isfinite
+    env = params or {}
+    nodes = _postorder(expr.ast, [])
+    code, slots = _generate(expr.ast, tuple(variables), frozenset(env))
+    scope = dict(_RUNTIME)
+    scope.update((f"n{i}", node) for i, node in enumerate(nodes))
+    for i in slots:
+        node = nodes[i]
+        scope[f"k{i}"] = node.value if isinstance(node, Num) else float(env[node.ident])
+    exec(code, scope)
+    return scope["_f"]
 
-    def evaluate(s: float, t: float) -> float:
-        value = root(s, t)
-        if not isfinite(value):
-            raise EvalError(f"non-finite result {value!r}", ast)
-        return value
 
-    return evaluate
+def check_param_values(params: dict[str, float]) -> None:
+    """Raise ValueError naming the first parameter that is not a finite number.
+
+    A non-finite value would reach math calls that raise outside the
+    EvalError contract (sin(inf) is a bare "math domain error").
+    """
+    for name, value in params.items():
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ValueError(f"parameter {name!r} must be a finite number, got {value!r}")
 
 
 def eval_expr(expr: CoeffExpr, s: float | None = None, t: float | None = None,
@@ -391,121 +418,105 @@ def eval_expr(expr: CoeffExpr, s: float | None = None, t: float | None = None,
     return compile_expr(expr, env, variables=())(s, t)
 
 
-def _compile(node: Node, env: dict[str, float], variables: tuple[str, ...]) -> _Fn:
-    """The closure f(s, t) for one node; see compile_expr."""
-    if isinstance(node, Num):
-        value = node.value
-        return lambda s, t: value
-    if isinstance(node, Name):
-        ident = node.ident
-        if ident in variables:
-            return (lambda s, t: s) if ident == "s" else (lambda s, t: t)
-        if ident in env:
-            bound = float(env[ident])
-            return lambda s, t: bound
-
-        def unbound(s, t):
-            raise EvalError(f"unbound parameter {ident!r}", node)
-        return unbound
+def _postorder(node: Node, out: list) -> list:
+    """The nodes of a tree in evaluation order: children left to right, then the node."""
     if isinstance(node, Neg):
-        operand = _compile(node.operand, env, variables)
-        return lambda s, t: -operand(s, t)
-    if isinstance(node, Call):
-        return _compile_call(node, _compile(node.arg, env, variables))
-    if isinstance(node, Bin):
-        left = _compile(node.left, env, variables)
-        right = _compile(node.right, env, variables)
-        op = node.op
-        isinf = math.isinf
-        if op in _ARITH:
-            arith = _ARITH[op]
-
-            def f(s, t):
-                a = left(s, t)
-                b = right(s, t)
-                try:
-                    out = arith(a, b)
-                except OverflowError:
-                    raise EvalError("overflow", node) from None
-                if isinf(out):
-                    raise EvalError("overflow to infinity", node)
-                return out
-        elif op == "/":
-            def f(s, t):
-                a = left(s, t)
-                b = right(s, t)
-                if b == 0.0:
-                    raise EvalError("division by zero", node)
-                try:
-                    out = a / b
-                except OverflowError:
-                    raise EvalError("overflow", node) from None
-                if isinf(out):
-                    raise EvalError("overflow to infinity", node)
-                return out
-        elif op == "^":
-            floor, power = math.floor, math.pow
-
-            def f(s, t):
-                a = left(s, t)
-                b = right(s, t)
-                if a == 0.0 and b < 0.0:
-                    raise EvalError("zero raised to a negative power", node)
-                try:
-                    # floor raises OverflowError for an infinite exponent
-                    if a < 0.0 and b != floor(b):
-                        raise EvalError(
-                            f"negative base {a!r} with non-integer exponent {b!r}", node)
-                    out = power(a, b)
-                except OverflowError:
-                    raise EvalError("overflow", node) from None
-                if isinf(out):
-                    raise EvalError("overflow to infinity", node)
-                return out
-        else:
-            def f(s, t):
-                left(s, t)
-                right(s, t)
-                raise EvalError(f"unknown operator {op!r}", node)
-        return f
-    raise TypeError(f"not an expression node: {node!r}")
+        _postorder(node.operand, out)
+    elif isinstance(node, Bin):
+        _postorder(node.left, out)
+        _postorder(node.right, out)
+    elif isinstance(node, Call):
+        _postorder(node.arg, out)
+    elif not isinstance(node, (Num, Name)):
+        raise TypeError(f"not an expression node: {node!r}")
+    out.append(node)
+    return out
 
 
-def _compile_call(node: Call, arg: _Fn) -> _Fn:
-    func = node.func
-    if func == "log":
-        log = math.log
+@functools.lru_cache(maxsize=256)
+def _generate(ast: Node, variables: tuple[str, ...],
+              bound: frozenset) -> tuple[object, tuple[int, ...]]:
+    """Code defining ``_f(s, t)`` for one tree, and the indices of its value slots.
 
-        def f(s, t):
-            x = arg(s, t)
-            if x <= 0.0:
-                raise EvalError(f"log of nonpositive value {x!r}", node)
-            return log(x)
-    elif func == "sqrt":
-        sqrt = math.sqrt
-
-        def f(s, t):
-            x = arg(s, t)
-            if x < 0.0:
-                raise EvalError(f"sqrt of negative value {x!r}", node)
-            return sqrt(x)
-    elif func == "exp":
-        exp = math.exp
-
-        def f(s, t):
-            x = arg(s, t)
-            try:
-                return exp(x)
-            except OverflowError:
-                raise EvalError(f"exp overflow at argument {x!r}", node) from None
-    elif func in _TOTAL_FUNCS:
-        total = _TOTAL_FUNCS[func]
-        return lambda s, t: total(arg(s, t))
-    else:
-        def f(s, t):
-            arg(s, t)
-            raise EvalError(f"unknown function {func!r}", node)
-    return f
+    Node i of the evaluation order is global ``n{i}``; its result is local
+    ``v{i}``, or for a leaf the argument or value slot ``k{i}`` itself.
+    Every check, operation and error below mirrors one step of a node-by-node
+    evaluation, in the same order.
+    """
+    nodes = _postorder(ast, [])
+    lines: list[str] = []
+    slots: list[int] = []
+    stack: list[str] = []
+    for i, node in enumerate(nodes):
+        n, v = f"n{i}", f"v{i}"
+        if isinstance(node, Num):
+            slots.append(i)
+            stack.append(f"k{i}")
+            continue
+        if isinstance(node, Name):
+            if node.ident in variables:
+                stack.append("s" if node.ident == "s" else "t")
+            elif node.ident in bound:
+                slots.append(i)
+                stack.append(f"k{i}")
+            else:
+                lines.append(f"raise _EvalError(f'unbound parameter {{{n}.ident!r}}', {n})")
+                stack.append(v)
+            continue
+        if isinstance(node, Neg):
+            lines.append(f"{v} = -{stack.pop()}")
+        elif isinstance(node, Call):
+            x = stack.pop()
+            if node.func == "log":
+                lines += [f"if {x} <= 0.0:",
+                          f"    raise _EvalError(f'log of nonpositive value {{{x}!r}}', {n})",
+                          f"{v} = _log({x})"]
+            elif node.func == "sqrt":
+                lines += [f"if {x} < 0.0:",
+                          f"    raise _EvalError(f'sqrt of negative value {{{x}!r}}', {n})",
+                          f"{v} = _sqrt({x})"]
+            elif node.func == "exp":
+                lines += ["try:",
+                          f"    {v} = _exp({x})",
+                          "except OverflowError:",
+                          f"    raise _EvalError(f'exp overflow at argument {{{x}!r}}', {n}) from None"]
+            elif node.func in ("sin", "cos", "abs"):
+                lines.append(f"{v} = _{node.func}({x})")
+            else:
+                lines.append(f"raise _EvalError(f'unknown function {{{n}.func!r}}', {n})")
+        else:  # Bin
+            b = stack.pop()
+            a = stack.pop()
+            if node.op in ("+", "-", "*"):
+                step = [f"{v} = {a} {node.op} {b}"]
+            elif node.op == "/":
+                lines += [f"if {b} == 0.0:",
+                          f"    raise _EvalError('division by zero', {n})"]
+                step = [f"{v} = {a} / {b}"]
+            elif node.op == "^":
+                lines += [f"if {a} == 0.0 and {b} < 0.0:",
+                          f"    raise _EvalError('zero raised to a negative power', {n})"]
+                # floor raises OverflowError for an infinite exponent
+                step = [f"if {a} < 0.0 and {b} != _floor({b}):",
+                        f"    raise _EvalError(f'negative base {{{a}!r}} with non-integer "
+                        f"exponent {{{b}!r}}', {n})",
+                        f"{v} = _pow({a}, {b})"]
+            else:
+                lines.append(f"raise _EvalError(f'unknown operator {{{n}.op!r}}', {n})")
+                stack.append(v)
+                continue
+            lines += ["try:", *("    " + line for line in step),
+                      "except OverflowError:",
+                      f"    raise _EvalError('overflow', {n}) from None",
+                      f"if _isinf({v}):",
+                      f"    raise _EvalError('overflow to infinity', {n})"]
+        stack.append(v)
+    result, root = stack.pop(), f"n{len(nodes) - 1}"
+    lines += [f"if not _isfinite({result}):",
+              f"    raise _EvalError(f'non-finite result {{{result}!r}}', {root})",
+              f"return {result}"]
+    source = "def _f(s, t):\n" + "".join(f"    {line}\n" for line in lines)
+    return compile(source, "<coefficient expression>", "exec"), tuple(slots)
 
 
 def eval_array(expr: CoeffExpr, s=None, t=None,

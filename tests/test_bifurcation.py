@@ -431,3 +431,36 @@ def test_brent_bit_identical_to_scipy_on_random_brackets(xa, width, frac, k, c, 
     new = _outcome(_brent, f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)
     old = _outcome(brentq, f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)
     assert new == old or (new != new and old != old)
+
+
+# scalar g evaluations of one sweep (p = 3, exponents 0.5 0.7 0.2 0.3, seven
+# lambdas from half the first to twice the last threshold, window 1e-3..1e5,
+# count_cap 64); the values in the comments are those of a sweep that made
+# a kernel per solve and re-evaluated every point it revisited
+G_EVALUATIONS = {"cor2": 883,    # was 3357
+                 "cor3": 27314}  # was 88084
+
+
+@pytest.mark.parametrize("name", sorted(G_EVALUATIONS))
+def test_sweep_g_evaluation_count(name, monkeypatch):
+    calls = []
+    kernel = bifurcation._g_kernel
+
+    def counting_kernel(spec, table):
+        g = kernel(spec, table)
+
+        def counted(s):
+            calls.append(s)
+            return g(s)
+        return counted
+
+    monkeypatch.setattr(bifurcation, "_g_kernel", counting_kernel)
+    p = 3.0
+    table = make_norm_table(p, 0.5, 0.7, 0.2, 0.3)
+    scenario = get_scenario(name)
+    spec = scenario_problem(scenario, p, 0.5, 0.7, 0.2, 0.3)
+    ths = analytic_thresholds(scenario, table)
+    grid = list(np.geomspace(0.5 * ths[0], 2.0 * ths[-1], 7))
+    diagram = sweep(spec, table, grid, window=(1e-3, 1e5), count_cap=64)
+    assert diagram.thresholds
+    assert len(calls) == G_EVALUATIONS[name]

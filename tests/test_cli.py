@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -315,3 +316,30 @@ def test_import_loads_no_scipy(child_env):
                           env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["exp", "--r1", "0.3", "--r2", "0.3", "--A", "2+sin(a)", "--B", "1",
+      "--param", "a=inf", "--lambda", "2"],
+     "error: --param 'a=inf': value of 'a' must be finite"),
+    (["roots", *BASE, "--A", "1", "--B", "1", "--lambda", "2", "--window", "1e-3", "inf"],
+     "error: window must end at a finite s, got (0.001, inf)"),
+    (["sweep", "--scenario", "cor1", *BASE, "--lambda-min", "1", "--lambda-max", "inf",
+      "--lambda-n", "5"],
+     "error: lambda range needs finite bounds, got lambda_min=1.0, lambda_max=inf"),
+])
+def test_non_finite_inputs_exit_2_with_one_line(argv, message, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", message + "\n")
+    assert not caught
+
+
+def test_non_finite_config_parameter_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text('{"params": {"a": NaN}}')
+    code, out, err = run_cli(["roots", "--config", str(path), "--scenario", "cor2", *BASE,
+                              "--lambda", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: parameter 'a' must be a finite number, got nan\n"

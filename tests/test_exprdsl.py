@@ -27,6 +27,7 @@ from blowup.exprdsl import (
     positivity_scan,
     to_text,
 )
+from blowup import exprdsl
 from exprdsl_reference import reference_eval_expr
 
 
@@ -171,6 +172,40 @@ def test_positivity_scan():
         positivity_scan(parse("a*s"), {}, (1.0, 2.0), (1.0, 2.0), 4)
     with pytest.raises(ValueError):
         positivity_scan(parse("s"), {}, (1.0, 2.0), (1.0, 2.0), 1)
+
+
+def test_code_cache_never_shares_constants():
+    # 0.0 == -0.0, so trees differing only in that literal's sign are one key
+    # of the code cache; each compile must still see its own literal and node
+    cases = ((0.0, 1.0, "s/0.0"), (-0.0, -1.0, "s/-0.0"), (0.0, 1.0, "s/0.0"))
+    for k, (literal, sign, shown) in enumerate(cases):
+        hits = exprdsl._generate.cache_info().hits
+        product = compile_expr(CoeffExpr(Bin("*", Name("s"), Num(literal))))(1.0, 1.0)
+        assert math.copysign(1.0, product) == sign
+        quotient = CoeffExpr(Bin("/", Name("s"), Num(literal)))
+        with pytest.raises(EvalError) as err:
+            compile_expr(quotient)(1.0, 1.0)
+        assert err.value.subexpr is quotient.ast
+        assert str(err.value) == f"division by zero in subexpression '{shown}'"
+        if k:  # the same cache keys as the first pair of trees
+            assert exprdsl._generate.cache_info().hits == hits + 2
+    assert compile_expr(parse("s+2"))(1.0, 0.0) == 3.0
+    assert compile_expr(parse("s+5"))(1.0, 0.0) == 6.0
+    # one tree under two bindings: parameter values are bound per compile
+    expr = parse("a*s")
+    two, three = compile_expr(expr, {"a": 2.0}), compile_expr(expr, {"a": 3.0})
+    assert (two(1.0, 0.0), three(1.0, 0.0), two(1.0, 0.0)) == (2.0, 3.0, 2.0)
+    with pytest.raises(EvalError, match="unbound parameter 'a'"):
+        compile_expr(expr, {"b": 2.0})(1.0, 0.0)
+
+
+def test_generated_code_holds_no_expression_text():
+    expr = parse("log(secret_name)*1234.5+s")
+    code, _ = exprdsl._generate(expr.ast, VARIABLES, frozenset({"secret_name"}))
+    (function,) = [c for c in code.co_consts if hasattr(c, "co_names")]
+    assert "secret_name" not in function.co_names + function.co_varnames
+    assert 1234.5 not in function.co_consts
+    assert compile_expr(expr, {"secret_name": math.e})(1.0, 0.0) == 1235.5
 
 
 # ----------------------------------------------------------------------
