@@ -58,6 +58,7 @@ __all__ = [
     "BifurcationDiagram",
     "CoefficientError",
     "make_problem_spec",
+    "check_positivity",
     "default_window",
     "g_of_s",
     "solve_single",
@@ -138,34 +139,43 @@ def make_problem_spec(p: float, q1: float, q2: float, r1: float, r2: float,
         if unbound:
             raise ValueError(f"coefficient {label} has unbound parameters: {sorted(unbound)}")
     if scan_positivity:
-        table = make_norm_table(p, q1, q2, r1, r2)
-        lo, hi = default_window(table)
-        ratios = [table.n_q2 / table.n_q1, table.m_r1 / table.n_q1, table.m_r2 / table.n_q1]
-        t_lo = lo * min(ratios)
-        t_hi = hi * max(ratios)
-        for label, expr in (("A", A), ("B", B)):
-            _scan_positive(label, expr, bound, (lo, hi), (t_lo, t_hi))
+        check_positivity(spec, make_norm_table(p, q1, q2, r1, r2))
     return spec
 
 
-def _scan_positive(label: str, expr: CoeffExpr, params: dict,
+def check_positivity(spec: ProblemSpec, table: NormTable) -> None:
+    """Advisory positivity scan of A and B over the default solver window.
+
+    s spans default_window(table); t spans the same window scaled by the
+    smallest and largest of the norm ratios that map s to the other three
+    norms, so the grid spans every (s, t) pair the solver can reach.
+    """
+    lo, hi = default_window(table)
+    ratios = [table.n_q2 / table.n_q1, table.m_r1 / table.n_q1, table.m_r2 / table.n_q1]
+    _scan_positive((("A", spec.A), ("B", spec.B)), spec.bound_params(), (lo, hi),
+                   (lo * min(ratios), hi * max(ratios)))
+
+
+def _scan_positive(coefficients: tuple[tuple[str, CoeffExpr], ...], params: dict,
                    s_range: tuple[float, float], t_range: tuple[float, float],
                    n: int = 24) -> None:
-    """Advisory positivity probe on a log-spaced grid.
+    """Advisory positivity probe of each (label, expr) on one log-spaced grid.
 
     Like exprdsl.positivity_scan, but overflow to +inf counts as positive
     (the solver tolerates it during scanning); NaN, -inf and nonpositive
-    finite values raise with the first offending point.
+    finite values raise with the first offending point of the first
+    offending coefficient.
     """
     s_vals = np.geomspace(s_range[0], s_range[1], n)
     t_vals = np.geomspace(t_range[0], t_range[1], n)
     ss, tt = np.meshgrid(s_vals, t_vals, indexing="ij")
-    out = eval_array(expr, ss, tt, params)
-    bad = np.isnan(out) | (out <= 0.0)  # <= 0 catches -inf too
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise CoefficientError(label, float(s_vals[i]), float(t_vals[j]),
-                               f"positivity scan found value {float(out[i, j])!r}")
+    for label, expr in coefficients:
+        out = eval_array(expr, ss, tt, params)
+        bad = np.isnan(out) | (out <= 0.0)  # <= 0 catches -inf too
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise CoefficientError(label, float(s_vals[i]), float(t_vals[j]),
+                                   f"positivity scan found value {float(out[i, j])!r}")
 
 
 @dataclass(frozen=True)

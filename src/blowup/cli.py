@@ -19,9 +19,11 @@ nothing, and output is byte-identical for every value.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -29,6 +31,7 @@ import numpy as np
 from . import oracles
 from .bifurcation import (
     CoefficientError,
+    check_positivity,
     default_window,
     make_problem_spec,
     reconstruct,
@@ -94,6 +97,39 @@ def _parse_param(text: str) -> tuple[str, float]:
     return name.strip(), number
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_types(cfg: dict) -> None:
+    """Raise UsageError naming the first field whose value has the wrong type.
+
+    Number fields need a JSON number (true/false and null are none), and
+    integer fields a whole one (41 or 41.0).  Text and switch fields may
+    be null, which leaves them unset.  window needs two numbers and ps a
+    list of numbers.
+    """
+    def wrong(key, kind):
+        return UsageError(f"config field {key!r} must be {kind}, got {json.dumps(cfg[key])}")
+
+    for key in _FLOAT_KEYS + _INT_KEYS:
+        if key in cfg and not _is_number(cfg[key]):
+            raise wrong(key, "a number")
+        if key in _INT_KEYS and isinstance(cfg.get(key), float) and not cfg[key].is_integer():
+            raise wrong(key, "an integer")
+    for keys, kind, name in ((_STR_KEYS, str, "a string"), (_BOOL_KEYS, bool, "true or false")):
+        for key in keys:
+            if cfg.get(key) is not None and not isinstance(cfg[key], kind):
+                raise wrong(key, name)
+    window = cfg.get("window")
+    if window is not None and not (isinstance(window, list) and len(window) == 2
+                                   and all(map(_is_number, window))):
+        raise wrong("window", "a list of two numbers")
+    ps = cfg.get("ps")
+    if ps is not None and not (isinstance(ps, list) and all(map(_is_number, ps))):
+        raise wrong("ps", "a list of numbers")
+
+
 def build_config(args: argparse.Namespace) -> dict:
     """Defaults < JSON config < command-line flags."""
     cfg: dict = {
@@ -131,6 +167,7 @@ def build_config(args: argparse.Namespace) -> dict:
         cfg["params"][name] = value
     if getattr(args, "ps", None):
         cfg["ps"] = [float(v) for v in args.ps]
+    _check_types(cfg)
     if cfg.get("format") not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {cfg.get('format')!r}")
     return cfg
@@ -158,7 +195,8 @@ def _power_problem(cfg: dict):
         spec = scenario_problem(scenario, p, q1, q2, r1, r2)
     else:
         spec = make_problem_spec(p, q1, q2, r1, r2, _need(cfg, "A"), _need(cfg, "B"),
-                                 cfg.get("params"), scan_positivity=True)
+                                 cfg.get("params"), scan_positivity=False)
+        check_positivity(spec, table)
     return spec, table
 
 
@@ -396,8 +434,27 @@ def _add_common(sub: argparse.ArgumentParser, problem: bool = False) -> None:
                          help="scan grid points (default 4096)")
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in any float form as a value.
+
+    argparse takes a word that starts with "-" for an option unless it looks
+    like "-5" or "-.5", so "--lambda -1e5" or "--window -inf 1" would fail
+    with its multi-line usage text.  Here "-1e5", "-2.5E-3", "-inf" and
+    "-nan" are values too; main's own checks then reject a bad one with a
+    one-line diagnostic.  Subparsers are built from the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="blowup",
         description="Bifurcation analysis of nonlocal boundary blow-up problems")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -462,9 +519,14 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on the first call, then kept for the process."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = build_config(args)
         return _HANDLERS[args.command](cfg)

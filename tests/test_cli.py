@@ -343,3 +343,63 @@ def test_non_finite_config_parameter_exits_2(tmp_path, capsys):
                               "--lambda", "2"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: parameter 'a' must be a finite number, got nan\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["roots", *BASE, "--A", "20-s", "--B", "1+t", "--lambda", "1"],
+     "error: coefficient A at (s=42.60829941093746, t=2.1699568359836225e-05): "
+     "positivity scan found value -22.608299410937462"),
+    (["roots", *BASE, "--A", "1+s", "--B", "3-t", "--lambda", "1"],
+     "error: coefficient B at (s=2.336816635696733e-05, t=3.628785131217987): "
+     "positivity scan found value -0.6287851312179868"),
+    # A is scanned before B, so a bad A is named even where B fails first in the grid
+    (["roots", *BASE, "--A", "20-s", "--B", "t-1e-3", "--lambda", "1"],
+     "error: coefficient A at (s=42.60829941093746, t=2.1699568359836225e-05): "
+     "positivity scan found value -22.608299410937462"),
+])
+def test_positivity_error_names_coefficient_and_point(argv, message, capsys):
+    assert run_cli(argv, capsys) == (2, "", message + "\n")
+
+
+CONFIG = {"scenario": "cor2", "p": 3, "q1": 0.5, "q2": 0.7, "r1": 0.2, "r2": 0.3,
+          "lambda": 50}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("p", [3], "config field 'p' must be a number, got [3]"),
+    ("q1", "0.5", "config field 'q1' must be a number, got \"0.5\""),
+    ("r2", True, "config field 'r2' must be a number, got true"),
+    ("lambda", None, "config field 'lambda' must be a number, got null"),
+    ("scan_n", None, "config field 'scan_n' must be a number, got null"),
+    ("scan_n", 4096.5, "config field 'scan_n' must be an integer, got 4096.5"),
+    ("scenario", 2, "config field 'scenario' must be a string, got 2"),
+    ("oracle", "yes", "config field 'oracle' must be true or false, got \"yes\""),
+    ("window", 5, "config field 'window' must be a list of two numbers, got 5"),
+])
+def test_config_field_of_wrong_type_exits_2(field, value, message, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**CONFIG, field: value}))
+    assert run_cli(["roots", "--config", str(path)], capsys) == (2, "", f"error: {message}\n")
+
+
+def test_config_whole_float_for_integer_field_still_works(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**CONFIG, "scan_n": 4096.0, "A": None, "oracle": None}))
+    code, out, _ = run_cli(["roots", "--config", str(path)], capsys)
+    assert code == 0
+    assert out == run_cli(["roots", "--scenario", "cor2", "--lambda", "50", *BASE], capsys)[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["roots", "--scenario", "cor1", *BASE, "--lambda", "-1e5"],
+     "error: lambda must be positive and finite, got -100000.0"),
+    (["roots", "--scenario", "cor1", *BASE, "--lambda", "-inf"],
+     "error: lambda must be positive and finite, got -inf"),
+    (["roots", "--scenario", "cor1", *BASE, "--lambda", "1", "--window", "-inf", "1"],
+     "error: window must satisfy 0 < s_lo < s_hi, got (-inf, 1.0)"),
+    (["roots", "--scenario", "cor1", *BASE, "--lambda", "1", "--window", "1e-5", "-2.5E-3"],
+     "error: window must satisfy 0 < s_lo < s_hi, got (1e-05, -0.0025)"),
+    (["verify", "--ps", "-1e5", "3"], "error: profile exponent must satisfy p > 1, got -100000.0"),
+])
+def test_negative_flag_values_exit_2_with_one_line(argv, message, capsys):
+    assert run_cli(argv, capsys) == (2, "", message + "\n")

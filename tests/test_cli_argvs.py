@@ -2,9 +2,10 @@
 
 Each example takes one request of a ``perfbench/workloads.py`` stream
 (imported read-only) and replaces one of its numeric values with nan, inf,
--inf, 0, -1 or 1e400.  ``cli.main`` must return 0, 1 or 2 without raising
-or warning; exit 2 comes with exactly one stderr line starting with
-"error:", and a non-finite value always gets exit 2.
+-inf, 0, -1, -1e5 or 1e400, in the plain ``--flag value`` form, also for
+the flags that take several values.  ``cli.main`` must return 0, 1 or 2
+without raising or warning; exit 2 comes with exactly one stderr line
+starting with "error:", and a non-finite value always gets exit 2.
 """
 
 import contextlib
@@ -23,12 +24,8 @@ from blowup import cli
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
-VALUES = ("nan", "inf", "-inf", "0", "-1", "1e400")
+VALUES = ("nan", "inf", "-inf", "0", "-1", "-1e5", "1e400")
 INT_FLAGS = ("--lambda-n", "--root-index", "--grid-n")
-# flags that take several values: argparse reads a value that starts with
-# "-" and is not a plain number ("-inf") there as an option, so the CLI
-# cannot be given one
-MULTI_FLAGS = ("--window", "--ps")
 TEXT_FLAGS = ("--A", "--B", "--scenario", "--format")
 
 
@@ -53,19 +50,13 @@ def _numeric_positions(argv):
 
 
 def _substitute(argv, i, value):
-    """argv with its i-th word's number replaced, or None if argparse cannot take it."""
+    """argv with its i-th word's number replaced, or None if the flag takes an integer."""
     out = list(argv)
     flag = _flag(out, i)
     if flag == "--param":
         out[i] = out[i].partition("=")[0] + "=" + value
     elif flag in INT_FLAGS and value not in ("0", "-1"):
         return None
-    elif value.startswith("-") and flag in MULTI_FLAGS:
-        if value != "-1":
-            return None
-        out[i] = value
-    elif value.startswith("-"):
-        out[i - 1:i + 1] = [f"{flag}={value}"]
     else:
         out[i] = value
     return out
