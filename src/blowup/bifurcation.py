@@ -667,8 +667,7 @@ def nonlocal_residual(spec: ProblemSpec, table: NormTable, profile: Profile,
     b_val = eval_expr(spec.B, s2, t2, bound)
     scale = s / table.n_q1
     worst = 0.0
-    for x in np.asarray(grid, dtype=float):
-        u_profile = eval_U(profile, x)
+    for u_profile in eval_U(profile, np.asarray(grid, dtype=float)).tolist():
         u_val = scale * u_profile
         upp = scale * u_profile ** spec.p
         lhs = a_val * upp

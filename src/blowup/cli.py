@@ -237,10 +237,14 @@ def _emit(cfg: dict, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(cfg: dict, results: dict, flags: dict) -> None:
+def _json_document(cfg: dict, results: dict, flags: dict) -> str:
     echo = {k: cfg[k] for k in sorted(cfg) if k != "output"}
     doc = {"config_echo": echo, "results": results, "flags": flags}
-    _emit(cfg, json.dumps(doc, indent=2) + "\n")
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _emit_json(cfg: dict, results: dict, flags: dict) -> None:
+    _emit(cfg, _json_document(cfg, results, flags))
 
 
 def _csv_lines(header: list[str], rows: list[list], comments: list[str]) -> str:
@@ -346,18 +350,38 @@ def cmd_sweep(cfg: dict) -> int:
     return 0
 
 
+# a sample row as json.dumps(indent=2) lays it out at its depth in the
+# document, and the string that holds the sample's place until it is written
+_JSON_SAMPLE_ROW = '      {\n        "x": %s,\n        "u": %s,\n        "u_prime": %s\n      }'
+_SAMPLE_SLOT = "<sample>"
+
+
+def _json_float(value: float) -> str:
+    """A float as json.dumps writes it: repr, or NaN, Infinity and -Infinity."""
+    if math.isfinite(value):
+        return repr(value)
+    return "NaN" if value != value else ("Infinity" if value > 0.0 else "-Infinity")
+
+
 def _emit_sample(cfg: dict, sample, extra_results: dict, flags: dict) -> None:
+    """Write a sample as _json_document or _csv_lines would, one format call per row."""
+    columns = (sample.grid, sample.values, sample.derivs)
+    rows = list(zip(*(column.tolist() for column in columns)))
     if cfg["format"] == "json":
-        results = dict(extra_results)
-        results["sample"] = [{"x": float(x), "u": float(u), "u_prime": float(d)}
-                             for x, u, d in zip(sample.grid, sample.values, sample.derivs)]
-        _emit_json(cfg, results, flags)
+        if not all(np.isfinite(column).all() for column in columns):
+            rows = [tuple(map(_json_float, row)) for row in rows]
+        body = ",\n".join([_JSON_SAMPLE_ROW % row for row in rows])
+        text = _json_document(cfg, {**extra_results, "sample": _SAMPLE_SLOT}, flags)
+        # the slot is the last string in the document: only config_echo,
+        # before it, can hold strings of its own, and flags hold none
+        head, _, tail = text.rpartition(json.dumps(_SAMPLE_SLOT))
+        _emit(cfg, head + (f"[\n{body}\n    ]" if rows else "[]") + tail)
     else:
-        rows = [[float(x), float(u), float(d)]
-                for x, u, d in zip(sample.grid, sample.values, sample.derivs)]
-        comments = [f"{k}: {_fmt(v)}" for k, v in extra_results.items()]
-        comments += [f"{k}: {_fmt(v)}" for k, v in flags.items()]
-        _emit(cfg, _csv_lines(["x", "u", "u_prime"], rows, comments))
+        lines = ["x,u,u_prime"]
+        lines += ["%r,%r,%r" % row for row in rows]
+        lines += [f"# {k}: {_fmt(v)}" for k, v in extra_results.items()]
+        lines += [f"# {k}: {_fmt(v)}" for k, v in flags.items()]
+        _emit(cfg, "\n".join(lines) + "\n")
 
 
 def cmd_eval(cfg: dict) -> int:
@@ -438,6 +462,10 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity
                               re.IGNORECASE)
 
 
+# flags whose value is an expression, which may start with "-" ("-s+5")
+_EXPRESSION_FLAGS = ("--A", "--B")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """An ArgumentParser that reads a negative number in any float form as a value.
 
@@ -445,12 +473,23 @@ class _ArgumentParser(argparse.ArgumentParser):
     like "-5" or "-.5", so "--lambda -1e5" or "--window -inf 1" would fail
     with its multi-line usage text.  Here "-1e5", "-2.5E-3", "-inf" and
     "-nan" are values too; main's own checks then reject a bad one with a
-    one-line diagnostic.  Subparsers are built from the same class.
+    one-line diagnostic.  In the same way "--A -s+5" reads as "--A=-s+5":
+    the word after an expression flag is its value when it starts with a
+    single "-".  Subparsers are built from the same class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def parse_known_args(self, args=None, namespace=None):
+        words = list(sys.argv[1:] if args is None else args)
+        # from the back, so a joined "--A=..." is never read as a flag again
+        for i in range(len(words) - 2, -1, -1):
+            flag, value = words[i], words[i + 1]
+            if flag in _EXPRESSION_FLAGS and value.startswith("-") and not value.startswith("--"):
+                words[i:i + 2] = [f"{flag}={value}"]
+        return super().parse_known_args(words, namespace)
 
 
 def _build_parser() -> argparse.ArgumentParser:

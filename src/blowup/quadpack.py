@@ -9,6 +9,12 @@ concentrates on ever smaller intervals.  The arithmetic follows the
 reference code statement by statement, so on IEEE doubles it returns the
 same bits as the reference for the same integrand.
 
+``quad_many(f, a, b, ...)`` returns ``[quad(f, ai, bi, ...)[0] ...]`` bit
+for bit, but applies DQK21 to all intervals at once with numpy
+elementwise arithmetic in the reference summation order (``qk21_many``):
+first to every interval, then to both halves of those the first rule
+does not settle, which DQAGSE then takes up from there.
+
 The time map (``blowup.timemap``) integrates smooth integrands over finite
 intervals and uses nothing else of QUADPACK; this module exists so that the
 package needs no external integration library for it.
@@ -19,7 +25,9 @@ from __future__ import annotations
 import sys
 import warnings
 
-__all__ = ["quad"]
+import numpy as np
+
+__all__ = ["quad", "quad_many", "qk21_many"]
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -252,10 +260,14 @@ def _qelg(n: int, epstab: list, res3la: list, nres: int) -> tuple[int, float, fl
 
 
 def _qagse(f, a: float, b: float, epsabs: float, epsrel: float,
-           limit: int) -> tuple[float, float, int]:
-    """DQAGSE on a <= b: returns (result, abserr, ier)."""
+           limit: int, rule=_qk21) -> tuple[float, float, int]:
+    """DQAGSE on a <= b: returns (result, abserr, ier).
+
+    ``rule(f, a, b)`` is DQK21 on one subinterval; a caller that already
+    holds some of its values may pass a rule that looks them up.
+    """
     ier = 0
-    result, abserr, defabs, resabs = _qk21(f, a, b)
+    result, abserr, defabs, resabs = rule(f, a, b)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
@@ -301,8 +313,8 @@ def _qagse(f, a: float, b: float, epsabs: float, epsrel: float,
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = _qk21(f, a1, b1)
-        area2, error2, _, defab2 = _qk21(f, a2, b2)
+        area1, error1, _, defab1 = rule(f, a1, b1)
+        area2, error2, _, defab2 = rule(f, a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
@@ -438,6 +450,23 @@ def _qagse(f, a: float, b: float, epsabs: float, epsrel: float,
     return result, errsum, ier - 1 if ier > 2 else ier
 
 
+def _check_options(epsabs: float, epsrel: float, limit: int) -> None:
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit!r}")
+    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 5e-29):
+        raise ValueError("tolerance too small: need epsabs > 0 or epsrel >= 50 eps")
+
+
+def _qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int,
+          rule=_qk21) -> tuple[float, float]:
+    """_qagse on a <= b, warning where it reports ier > 0 (for quad's caller)."""
+    result, abserr, ier = _qagse(f, a, b, epsabs, epsrel, limit, rule)
+    if ier > 0:
+        warnings.warn(f"quad on [{a!r}, {b!r}]: {_MESSAGES[ier]} "
+                      f"(error estimate {abserr:.3g})", RuntimeWarning, stacklevel=3)
+    return result, abserr
+
+
 def quad(f, a: float, b: float, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
          limit: int = 50) -> tuple[float, float]:
     """Integral of f over the finite interval [a, b]: (value, error estimate).
@@ -449,15 +478,121 @@ def quad(f, a: float, b: float, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8
     and negates.
     """
     a, b = float(a), float(b)
-    if limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit!r}")
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 5e-29):
-        raise ValueError("tolerance too small: need epsabs > 0 or epsrel >= 50 eps")
+    _check_options(epsabs, epsrel, limit)
     flip = b < a
     if flip:
         a, b = b, a
-    result, abserr, ier = _qagse(f, a, b, epsabs, epsrel, limit)
-    if ier > 0:
-        warnings.warn(f"quad on [{a!r}, {b!r}]: {_MESSAGES[ier]} "
-                      f"(error estimate {abserr:.3g})", RuntimeWarning, stacklevel=2)
+    result, abserr = _qags(f, a, b, epsabs, epsrel, limit)
     return (-result if flip else result), abserr
+
+
+# k of the abscissae xgk[k] in the order _qk21 evaluates f at centr -+ hlgth * xgk[k]
+_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_NODE_X = np.array([_XGK[k] for k in _ORDER])
+
+
+@np.errstate(all="ignore")  # inf and nan arise quietly, as in float arithmetic
+def qk21_many(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_qk21 on every interval [a[i], b[i]]: arrays (result, abserr, resabs, resasc).
+
+    Row i equals ``_qk21(f, a[i], b[i])`` bit for bit: the integrand is the
+    same scalar f, called once per node, and every sum adds its terms one
+    at a time in _qk21's order with numpy's elementwise +, -, * and /,
+    which round as Python's float operators do.  The one power, ``** 1.5``,
+    is taken per row with Python's float pow, and ``min``/``max`` follow
+    Python's (the first argument unless the second compares smaller/larger,
+    so NaN does not propagate).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    d = hlgth * _NODE_X[:, None]
+    # node rows: centr, then u = centr - d and v = centr + d for each k of _ORDER
+    nodes = np.empty((21,) + centr.shape)
+    nodes[0] = centr
+    nodes[1::2] = centr - d
+    nodes[2::2] = centr + d
+    fv = np.fromiter(map(f, nodes.ravel().tolist()), float, nodes.size).reshape(nodes.shape)
+    fc = fv[0]
+    pairs = fv[1::2] + fv[2::2]  # u + v, one row per k of _ORDER
+    resg = 0.0  # the Gauss pairs k = 1, 3, .., 9 are the first five
+    for weight, pair in zip(_WG, pairs[:5]):
+        resg = resg + weight * pair
+    resk = _K10 * fc
+    for k, pair in zip(_ORDER, pairs):
+        resk = resk + _WGK[k] * pair
+    fa = np.abs(fv)
+    resabs = np.abs(_K10 * fc)
+    for k, pair in zip(_ORDER, fa[1::2] + fa[2::2]):
+        resabs = resabs + _WGK[k] * pair
+    da = np.abs(fv - resk * 0.5)
+    da_pairs = da[1::2] + da[2::2]
+    resasc = _K10 * da[0]
+    for k in range(10):  # here in the order k = 0, 1, .., 9
+        resasc = resasc + _WGK[k] * da_pairs[_ORDER.index(k)]
+    dhlgth = np.abs(hlgth)
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    scaled = (resasc != 0.0) & (abserr != 0.0)
+    if scaled.any():
+        ratio = 200.0 * abserr[scaled] / resasc[scaled]
+        power = np.array([r ** 1.5 for r in ratio.tolist()])
+        # min(1.0, power) as Python's min takes it: NaN gives 1.0
+        abserr[scaled] = resasc[scaled] * np.where(power < 1.0, power, 1.0)
+    floor = (_EPMACH * 50.0) * resabs
+    raise_to_floor = (resabs > _UFLOW / (50.0 * _EPMACH)) & ~(abserr > floor)
+    abserr = np.where(raise_to_floor, floor, abserr)
+    return result, abserr, resabs, resasc
+
+
+def quad_many(f, a, b, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
+              limit: int = 50) -> np.ndarray:
+    """``[quad(f, a[i], b[i], epsabs, epsrel, limit)[0] for i ...]`` as an array.
+
+    The first DQK21 rule of every interval comes from one ``qk21_many``
+    call.  Where DQAGSE would return that rule's result unchanged (ier 0
+    and its first acceptance test passed) it is the answer.  The other
+    intervals go on through DQAGSE itself, which first bisects them: both
+    halves of all of them come from a second ``qk21_many`` call, and DQAGSE
+    reads the three rules it already has from those and computes only the
+    rest.  Warnings are quad's; a reversed or non-finite interval is
+    integrated by ``quad`` from the start.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    _check_options(epsabs, epsrel, limit)
+    first = qk21_many(f, a, b)
+    result, abserr, defabs, resabs = first
+    # _qagse's test on its first rule, row by row; errbnd = max(epsabs, ...)
+    bound = epsrel * np.abs(result)
+    errbnd = np.where(bound > epsabs, bound, epsabs)
+    roundoff = (abserr <= 100.0 * _EPMACH * defabs) & (abserr > errbnd)
+    done = (((abserr <= errbnd) & (abserr != resabs)) | (abserr == 0.0)) & ~roundoff
+    done &= np.isfinite(result) & np.isfinite(abserr) & (limit > 1)
+    out = np.where(done, result, 0.0)
+    bisect = ~done & (a <= b) & np.isfinite(a) & np.isfinite(b)
+    for i in np.flatnonzero(~done & ~bisect).tolist():
+        out[i] = quad(f, float(a[i]), float(b[i]), epsabs, epsrel, limit)[0]
+    rest = np.flatnonzero(bisect)
+    if rest.size:
+        ar, br = a[rest], b[rest]
+        mid = 0.5 * (ar + br)  # where _qagse bisects [a, b]
+        halves = qk21_many(f, np.concatenate([ar, mid]), np.concatenate([mid, br]))
+        ends = list(zip(ar.tolist(), mid.tolist(), br.tolist()))
+        rules = list(zip(*(r.tolist() for r in halves)))
+        # DQK21 by (lo, hi): equal intervals of two rows have equal rules
+        known = {}
+        for (lo, mi, hi), whole, left, right in zip(ends, zip(*(r[rest].tolist() for r in first)),
+                                                    rules, rules[len(ends):]):
+            known[lo, hi], known[lo, mi], known[mi, hi] = whole, left, right
+
+        def rule(f_, lo, hi):
+            found = known.get((lo, hi))
+            return found if found is not None else _qk21(f_, lo, hi)
+
+        for i, (lo, _, hi) in zip(rest.tolist(), ends):
+            out[i] = _qags(f, lo, hi, epsabs, epsrel, limit, rule)[0]
+    return out

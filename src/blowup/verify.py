@@ -67,20 +67,22 @@ def _specfun_checks() -> list[Check]:
 
 def _profile_checks(p: float) -> list[Check]:
     profile = make_profile(p)
+    zs = np.linspace(0.0, 0.999 * profile.L_p, 40)
     checks = [
         Check(f"p={p} L_p closed vs quadrature",
               _rel(profile.L_p, oracles.profile_length_quadrature(p)), 1e-9),
         Check(f"p={p} time map y=2 vs midpoint oracle",
               abs(time_map(profile, 2.0) - oracles.time_map_midpoint(p, 2.0)), 1e-10),
         Check(f"p={p} inverse round trip",
-              max(abs(time_map(profile, time_map_inverse(profile, z)) - z)
-                  for z in np.linspace(0.0, 0.999 * profile.L_p, 40)), 1e-10),
+              max(abs(time_map(profile, y) - z)
+                  for y, z in zip(time_map_inverse(profile, zs).tolist(), zs)), 1e-10),
         Check(f"p={p} ode residual delta=0.1", ode_residual(profile, 0.1), 1e-5),
     ]
     u_rk, _ = oracles.rk_profile(p, profile.mu_p, 0.9)
     checks.append(Check(f"p={p} RK oracle at x=0.9", _rel(eval_U(profile, 0.9), u_rk), 1e-7))
-    worst = max(abs(time_map(profile, eval_U(profile, x) / profile.mu_p) - profile.L_p * x)
-                for x in np.linspace(0.0, 0.999, 40))
+    xs = np.linspace(0.0, 0.999, 40)
+    worst = max(abs(time_map(profile, u / profile.mu_p) - profile.L_p * x)
+                for u, x in zip(eval_U(profile, xs).tolist(), xs))
     checks.append(Check(f"p={p} time-map consistency", worst, 1e-9))
     return checks
 

@@ -280,8 +280,8 @@ def test_norms_overflow_exits_2(capsys):
 
 
 def test_verify_unbracketed_inverse_exits_2(capsys):
-    # exit 1 is reserved for failed checks; a solver failure is exit 2
-    # (at p = 1.02 the Newton slope y^(p+1) of the time-map inverse overflows)
+    # exit 1 is reserved for failed checks; a numerical failure is exit 2
+    # (at p = 1.02 the closed-form norm in norms.norm_U overflows)
     code, out, err = run_cli(["verify", "--ps", "1.02"], capsys)
     assert code == 2
     assert out == ""
@@ -403,3 +403,16 @@ def test_config_whole_float_for_integer_field_still_works(tmp_path, capsys):
 ])
 def test_negative_flag_values_exit_2_with_one_line(argv, message, capsys):
     assert run_cli(argv, capsys) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("flag", ["--A", "--B"])
+def test_expression_value_with_leading_minus(flag, capsys):
+    # "--A -s+5" reads as "--A=-s+5", not as an unknown option "-s+5"
+    other = "--B" if flag == "--A" else "--A"
+    spaced = ["roots", *BASE, flag, "-s+5", other, "s+t", "--lambda", "2000"]
+    joined = ["roots", *BASE, f"{flag}=-s+5", other, "s+t", "--lambda", "2000"]
+    code, out, err = run_cli(spaced, capsys)
+    assert (code, out, err) == run_cli(joined, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: coefficient {flag[2:]} at (s=")
+    assert err.count("\n") == 1

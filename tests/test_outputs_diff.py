@@ -1,8 +1,11 @@
 """tools/outputs_diff.py: the request-by-request output comparison of two trees."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
@@ -40,3 +43,23 @@ def test_tree_against_itself_agrees(child_env):
                           capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "roots seed 1: 2 requests identical (exit codes 0)\n"
+
+
+def test_argvs_file_against_itself_agrees(tmp_path, child_env):
+    argvs = [["norms", "--p", "3", "--q1", "0.5", "--q2", "0.7", "--r1", "0.2", "--r2", "0.3"],
+             ["norms", "--p", "0.5"]]
+    path = tmp_path / "argvs.json"
+    path.write_text(json.dumps(argvs))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "outputs_diff.py"),
+                           str(ROOT), str(ROOT), "--argvs", str(path)],
+                          capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{path}: 2 requests identical (exit codes 0, 2)\n"
+
+
+def test_argvs_file_must_hold_lists_of_strings(tmp_path):
+    path = tmp_path / "argvs.json"
+    path.write_text(json.dumps([["norms", 3]]))
+    with pytest.raises(SystemExit, match="must hold a JSON list of lists of strings"):
+        outputs_diff.file_argvs(path)
+    assert outputs_diff.file_argvs(ROOT / "tools" / "corner_argvs.json")[0][0] == "eval"

@@ -1,17 +1,21 @@
 """Compare what two source trees print for the same benchmark requests.
 
     python3 tools/outputs_diff.py OLD NEW --workload sweep --seed 601 -n 24
+    python3 tools/outputs_diff.py OLD NEW --argvs tools/corner_argvs.json
 
 OLD and NEW are checkouts of this repository (a directory holding
 ``src/blowup``).  The first N argvs of a ``perfbench`` workload stream at
-the seed are sent to ``blowup.cli.main``, in one child interpreter per
-tree that imports that tree's package, the way the benchmark's worker
-sends them.  For each request the child records stdout, stderr, the exit
-code, and the exception if one escaped ``main``.  The tool prints the
-first request where any of the four differs, with the first differing
-line, and exits 1; it exits 0 when all N agree.  The streams come from
-the ``perfbench/workloads.py`` next to this tool, so both trees get the
-same argvs.
+the seed, or every argv of a JSON list of argvs given with ``--argvs``,
+are sent to ``blowup.cli.main``, in one child interpreter per tree that
+imports that tree's package, the way the benchmark's worker sends them.
+``corner_argvs.json`` next to this tool holds requests the streams never
+draw: p near 1 and large p, a tiny boundary offset, an even grid, verify
+outside its working range, and the norm oracles.  For each request the
+child records stdout, stderr, the exit code, and the exception if one
+escaped ``main``.  The tool prints the first request where any of the
+four differs, with the first differing line, and exits 1; it exits 0
+when all agree.  The streams come from the ``perfbench/workloads.py``
+next to this tool, so both trees get the same argvs.
 """
 
 from __future__ import annotations
@@ -91,6 +95,18 @@ def stream_argvs(workload: str, seed: int, n: int) -> list[list[str]]:
     return [next(stream) for _ in range(n)]
 
 
+def file_argvs(path: Path) -> list[list[str]]:
+    """The argvs of a JSON file holding a list of lists of strings."""
+    try:
+        argvs = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"outputs_diff: cannot read argvs from {path}: {exc}")
+    if not (isinstance(argvs, list)
+            and all(isinstance(a, list) and all(isinstance(w, str) for w in a) for a in argvs)):
+        raise SystemExit(f"outputs_diff: {path} must hold a JSON list of lists of strings")
+    return argvs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, nargs="?")
@@ -98,6 +114,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="sweep")
     parser.add_argument("--seed", type=int, default=601)
     parser.add_argument("-n", type=int, default=24, help="requests from the start of the stream")
+    parser.add_argument("--argvs", type=Path, default=None, metavar="FILE",
+                        help="JSON list of argvs to send instead of a workload stream")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -105,10 +123,13 @@ def main(argv=None) -> int:
         return 0
     if args.old is None or args.new is None:
         parser.error("OLD and NEW source trees are required")
-    argvs = stream_argvs(args.workload, args.seed, args.n)
+    if args.argvs is not None:
+        argvs, label = file_argvs(args.argvs), str(args.argvs)
+    else:
+        argvs = stream_argvs(args.workload, args.seed, args.n)
+        label = f"{args.workload} seed {args.seed}"
     old, new = tree_outcomes(args.old, argvs), tree_outcomes(args.new, argvs)
     found = first_difference(old, new)
-    label = f"{args.workload} seed {args.seed}"
     if found is None:
         codes = sorted({str(o["exit"]) for o in new})
         print(f"{label}: {len(argvs)} requests identical (exit codes {', '.join(codes)})")
