@@ -99,12 +99,15 @@ def norm_U(p: float, q: float, mu_p: float | None = None) -> float:
     _require(p, "q", q, (p - 1.0) / 2.0, "(p-1)/2")
     if mu_p is None:
         mu_p = make_profile(p).mu_p
-    val_q = (
-        math.sqrt(2.0 / (p + 1.0))
-        * mu_p ** ((2.0 * q - p + 1.0) / 2.0)
-        * beta((p - 2.0 * q - 1.0) / (2.0 * (p + 1.0)), 0.5)
-    )
-    return val_q ** (1.0 / q)
+    try:
+        val_q = (
+            math.sqrt(2.0 / (p + 1.0))
+            * mu_p ** ((2.0 * q - p + 1.0) / 2.0)
+            * beta((p - 2.0 * q - 1.0) / (2.0 * (p + 1.0)), 0.5)
+        )
+        return val_q ** (1.0 / q)
+    except OverflowError:
+        raise OverflowError(f"norm ||U||_q exceeds the largest double at p = {p!r}, q = {q!r}") from None
 
 
 def norm_U_prime(p: float, r: float, mu_p: float | None = None) -> float:
@@ -113,12 +116,15 @@ def norm_U_prime(p: float, r: float, mu_p: float | None = None) -> float:
     if mu_p is None:
         mu_p = make_profile(p).mu_p
     pp1 = p + 1.0
-    val_r = (
-        (2.0 / pp1) ** ((r + 1.0) / 2.0)
-        * mu_p ** (pp1 * (r - 1.0) / 2.0 + 1.0)
-        * beta(((1.0 - r) * pp1 - 2.0) / (2.0 * pp1), (r + 1.0) / 2.0)
-    )
-    return val_r ** (1.0 / r)
+    try:
+        val_r = (
+            (2.0 / pp1) ** ((r + 1.0) / 2.0)
+            * mu_p ** (pp1 * (r - 1.0) / 2.0 + 1.0)
+            * beta(((1.0 - r) * pp1 - 2.0) / (2.0 * pp1), (r + 1.0) / 2.0)
+        )
+        return val_r ** (1.0 / r)
+    except OverflowError:
+        raise OverflowError(f"norm ||U'||_r exceeds the largest double at p = {p!r}, r = {r!r}") from None
 
 
 def make_norm_table(p: float, q1: float, q2: float, r1: float, r2: float) -> NormTable:

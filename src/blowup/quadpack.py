@@ -496,9 +496,11 @@ def qk21_many(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """_qk21 on every interval [a[i], b[i]]: arrays (result, abserr, resabs, resasc).
 
     Row i equals ``_qk21(f, a[i], b[i])`` bit for bit: the integrand is the
-    same scalar f, called once per node, and every sum adds its terms one
-    at a time in _qk21's order with numpy's elementwise +, -, * and /,
-    which round as Python's float operators do.  The one power, ``** 1.5``,
+    same scalar f, called once per node (or, if f has an attribute
+    ``many``, ``f.many`` on the 1-D array of all nodes, which must return
+    f's value and raise f's exception at each node), and every sum adds its
+    terms one at a time in _qk21's order with numpy's elementwise +, -, *
+    and /, which round as Python's float operators do.  The one power, ``** 1.5``,
     is taken per row with Python's float pow, and ``min``/``max`` follow
     Python's (the first argument unless the second compares smaller/larger,
     so NaN does not propagate).
@@ -513,7 +515,10 @@ def qk21_many(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     nodes[0] = centr
     nodes[1::2] = centr - d
     nodes[2::2] = centr + d
-    fv = np.fromiter(map(f, nodes.ravel().tolist()), float, nodes.size).reshape(nodes.shape)
+    flat = nodes.ravel()
+    many = getattr(f, "many", None)
+    fv = (np.fromiter(map(f, flat.tolist()), float, flat.size) if many is None
+          else many(flat)).reshape(nodes.shape)
     fc = fv[0]
     pairs = fv[1::2] + fv[2::2]  # u + v, one row per k of _ORDER
     resg = 0.0  # the Gauss pairs k = 1, 3, .., 9 are the first five

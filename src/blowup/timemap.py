@@ -25,24 +25,31 @@ algebraic tail at infinity.  Both are removed by substitution:
 Both are integrated by ``quadpack.quad``, the package's port of QUADPACK's
 adaptive Gauss-Kronrod routine QAGS.
 
-``time_map_inverse`` has one Newton iteration, ``_inverse_steps``: a
-generator that yields each y where it needs T(y) and is sent T(y) back.
-Two loops run it.  A float z is answered point by point by
-``time_map``.  An array of z gets one iteration per distinct z, and each
-round evaluates every pending T(y) together: ``quadpack.quad_many``
-applies the 21-point Gauss-Kronrod rule to all their intervals with numpy
-elementwise arithmetic, and to both halves of those (about 5 %) that the
-first rule leaves unsettled, before QUADPACK's own code goes on with
-them.  Both paths return the same bits for every z.  ``eval_U``,
+``time_map_inverse`` runs one Newton iteration in two forms that return
+the same bits for every z.  A float z runs it as plain Python
+(``_inverse_point``), one ``time_map`` per step.  An array runs every
+distinct z as one lane of masked numpy arithmetic (``_head_lanes``,
+``_tail_lanes``), whose elementwise +, -, *, / and sqrt round as Python's
+float operations do; each round evaluates the T(y) of all running lanes
+together: ``quadpack.quad_many`` applies the 21-point Gauss-Kronrod rule
+to all their intervals with numpy elementwise arithmetic, and to both
+halves of those (about 5 %) that the first rule leaves unsettled, before
+QUADPACK's own code goes on with them.  A z that is outside the domain,
+or whose iteration would raise on the float path (a T(y) or a slope that
+raises, an overflowing start, a bracket that fails, a division by zero),
+leaves the lanes alone, and the float path answers it or raises; the
+other lanes go on.  ``eval_U``,
 ``eval_U_prime``, ``sample_profile`` and ``ode_residual`` take their
 grids through the array path; the float path and its ``_y_at`` cache
 serve pointwise callers such as the x-space oracles.
 
-The integrands stay scalar functions on ``math``'s libm calls, even under
-the batched rule.  numpy's own log1p, expm1 and power are vectorised with
-SIMD code that does not round as libm does: on an AVX-512 x86-64 machine
-they differ from ``math`` in the last place for about 9 %, 10 % and 5 %
-of arguments, which would move the bits of the profile.
+Every transcendental function, in the integrands and in the Newton steps
+alike, is ``math``'s libm call (or Python's float pow) on one float at a
+time; the integrands' array forms (``f.many``) map those calls over the
+nodes.  numpy's own log1p, expm1 and power are vectorised with SIMD code
+that does not round as libm does: on an AVX-512 x86-64 machine they
+differ from ``math`` in the last place for about 9 %, 10 % and 5 % of
+arguments, which would move the bits of the profile.
 
 The blow-up at the endpoints is genuine, so inversion is capped at
 z <= (1 - 1e-9) * L_p; evaluation closer to the boundary raises.
@@ -50,6 +57,7 @@ z <= (1 - 1e-9) * L_p; evaluation closer to the boundary raises.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -81,6 +89,12 @@ _SPLIT = 4.0
 
 _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
 
+# Iteration limits of the inverse: head Newton steps, tail bracket
+# expansions by 10x, tail Newton steps.
+_HEAD_STEPS = 100
+_EXPANSIONS = 60
+_TAIL_STEPS = 200
+
 
 @dataclass(frozen=True)
 class Profile:
@@ -111,7 +125,10 @@ def make_profile(p: float) -> Profile:
     if not math.isfinite(p) or p <= 1.0:
         raise ValueError(f"profile exponent must satisfy p > 1, got {p!r}")
     L = beta((p - 1.0) / (2.0 * (p + 1.0)), 0.5) / (p + 1.0)
-    mu = (math.sqrt((p + 1.0) / 2.0) * L) ** (2.0 / (p - 1.0))
+    try:
+        mu = (math.sqrt((p + 1.0) / 2.0) * L) ** (2.0 / (p - 1.0))
+    except OverflowError:
+        raise OverflowError(f"profile minimum mu_p exceeds the largest double at p = {p!r}") from None
     return Profile(p=p, mu_p=mu, L_p=L)
 
 
@@ -124,6 +141,19 @@ def _head_integrand(p: float):
         # (1+w^2)^(p+1) - 1 without cancellation for small w
         return 2.0 * w / math.sqrt(math.expm1(pp1 * math.log1p(w * w)))
 
+    def many(w: np.ndarray) -> np.ndarray:
+        try:
+            with np.errstate(over="ignore"):  # w * w overflows to inf, as a float * does
+                e = _libm(math.expm1, pp1 * _libm(math.log1p, w * w))
+        except ArithmeticError:
+            return _libm(f, w)
+        # f's own branches and exceptions: w = 0, w^2 rounding to 0, overflow
+        good = (e > 0.0) & (e < math.inf)
+        out = _pointwise(f, w, ~good)
+        out[good] = 2.0 * w[good] / np.sqrt(e[good])
+        return out
+
+    f.many = many
     return f
 
 
@@ -134,7 +164,29 @@ def _tail_integrand(p: float):
     def f(z: float) -> float:
         return b / math.sqrt(1.0 - z ** expo)
 
+    def many(z: np.ndarray) -> np.ndarray:
+        # outside [0, 1) f returns a complex power or raises
+        good = (z >= 0.0) & (z < 1.0)
+        out = _pointwise(f, z, ~good)
+        out[good] = b / np.sqrt(1.0 - _libm(pow, z[good], expo))
+        return out
+
+    f.many = many
     return f
+
+
+def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
+    """fn (a math function or float pow) on each entry of x, as an array."""
+    return np.fromiter(map(fn, x.tolist(), *(itertools.repeat(a, x.size) for a in args)),
+                       float, x.size)
+
+
+def _pointwise(f, x: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """An array holding f of the entries of x where ``where`` holds, in order."""
+    out = np.empty(x.shape)
+    if where.any():
+        out[where] = _libm(f, x[where])
+    return out
 
 
 def _head(p: float, y: float) -> float:
@@ -174,8 +226,8 @@ def time_map(profile: Profile, y: float) -> float:
     return profile.L_p - _tail(profile.p, y)
 
 
-def _time_map_many(profile: Profile, ys: np.ndarray) -> list[float]:
-    """[time_map(profile, y) for y in ys], bit for bit.
+def _time_map_many(profile: Profile, ys: np.ndarray) -> np.ndarray:
+    """[time_map(profile, y) for y in ys] as an array, bit for bit.
 
     Each distinct y is integrated once (Newton iterations for different z
     often ask for the same y, such as 1 + 3 where the head starts).  The
@@ -199,7 +251,7 @@ def _time_map_many(profile: Profile, ys: np.ndarray) -> list[float]:
                                             **_QUAD_OPTS)
     for i in np.flatnonzero(~(head | tail)).tolist():
         out[i] = time_map(profile, float(ys[i]))
-    return out[back].tolist()
+    return out[back]
 
 
 def _time_map_deriv(p: float, y: float) -> float:
@@ -210,14 +262,17 @@ def _time_map_deriv(p: float, y: float) -> float:
         return y ** (-(p + 1.0) / 2.0)
 
 
-def _inverse_steps(profile: Profile, z: float):
-    """The Newton iteration of the time-map inverse, as a generator.
+def _tail_start(p: float, L: float, z: float) -> float:
+    """y0 = (b / (L_p - z))^b, b = 2/(p-1): T(y0) <= z because the tail integrand is >= 1."""
+    b = 2.0 / (p - 1.0)
+    try:
+        return (b / (L - z)) ** b
+    except OverflowError:
+        raise OverflowError(f"time map inverse at z = {z!r} (p = {p!r}) exceeds the largest double") from None
 
-    It yields each y where it needs T(y), takes T(y) back through
-    ``send``, and returns the inverse (``StopIteration.value``).  Which T
-    evaluator answers is up to the caller: the arithmetic here alone decides
-    the bits of the result.
-    """
+
+def _inverse_point(profile: Profile, z: float) -> float:
+    """The float path: Newton's method on T, one T(y) per step."""
     p, L = profile.p, profile.L_p
     z = float(z)
     if math.isnan(z) or z < 0.0:
@@ -236,8 +291,8 @@ def _inverse_steps(profile: Profile, z: float):
         lo, hi = 0.0, math.sqrt(_SPLIT - 1.0)
         w = min(hi, z * math.sqrt(p + 1.0) / 2.0)  # small-z asymptote
         flo = -z
-        for _ in range(100):
-            fw = (yield 1.0 + w * w) - z
+        for _ in range(_HEAD_STEPS):
+            fw = time_map(profile, 1.0 + w * w) - z
             if abs(fw) <= 0.5e-12 * L:
                 break
             if fw * flo > 0.0:
@@ -255,27 +310,25 @@ def _inverse_steps(profile: Profile, z: float):
             w = w_new
         return 1.0 + w * w
 
-    # Tail regime: y* >= Y0 because the tail integrand is >= 1.
-    b = 2.0 / (p - 1.0)
-    y0 = (b / (L - z)) ** b
+    y0 = _tail_start(p, L, z)
     lo = max(_SPLIT, y0)
     hi = max(1e3 * y0, 2.0 * lo)
-    flo = (yield lo) - z
+    flo = time_map(profile, lo) - z
     if flo > 0.0:
         # near p = 1 rounding can put T(y0) above z; T(_SPLIT) < z here
         lo, flo = _SPLIT, _z_split(p) - z
-    fhi = (yield hi) - z
+    fhi = time_map(profile, hi) - z
     expand = 0
-    while fhi < 0.0 and expand < 60:
+    while fhi < 0.0 and expand < _EXPANSIONS:
         lo, flo = hi, fhi
         hi *= 10.0
-        fhi = (yield hi) - z
+        fhi = time_map(profile, hi) - z
         expand += 1
     if flo > 0.0 or fhi < 0.0:
         raise RuntimeError(f"failed to bracket time-map inverse at z={z!r}")
     y = 0.5 * (lo + hi)
-    for _ in range(200):
-        fy = (yield y) - z
+    for _ in range(_TAIL_STEPS):
+        fy = time_map(profile, y) - z
         if abs(fy) <= 0.5e-12 * L:
             return y
         if fy < 0.0:
@@ -291,42 +344,156 @@ def _inverse_steps(profile: Profile, z: float):
     return y
 
 
-def _inverse_many(profile: Profile, zs: np.ndarray) -> np.ndarray:
-    """The array path: one _inverse_steps per distinct z, all answered together.
+def _answer(one, x: np.ndarray, many=None) -> tuple[np.ndarray, np.ndarray]:
+    """many(x), or one(v) for each entry v of x where many raises or is None.
 
-    Each round gathers the y every unfinished iteration asks for and
-    evaluates them with one ``_time_map_many`` call.  Where inputs fail,
-    the exception of the first failing index is raised, as a loop over
-    ``zs`` would raise it.
+    Returns the values and a mask of the entries where one(v) raised; their
+    values are NaN, and their lanes leave the batch for the float path.
     """
-    distinct, first, back = np.unique(zs.ravel(), return_index=True, return_inverse=True)
-    steps = [_inverse_steps(profile, z) for z in distinct.tolist()]
-    ys = [1.0] * len(steps)
-    errors: dict[int, Exception] = {}
-    # answers: (k, T(y)) for every iteration to resume, None on its first step
-    answers = [(k, None) for k in range(len(steps))]
-    while answers:
-        asks: dict[int, float] = {}
-        for k, t in answers:
-            try:
-                asks[k] = steps[k].send(t)
-            except StopIteration as stop:
-                ys[k] = stop.value
-            except Exception as exc:  # re-raised below if k is the first to fail
-                errors[k] = exc
+    if many is not None:
         try:
-            answers = list(zip(asks, _time_map_many(profile, np.fromiter(asks.values(), float))))
+            return many(x), np.zeros(x.shape, dtype=bool)
         except Exception:
-            # find whose T(y) fails: answer this round point by point
-            answers = []
-            for k, y in asks.items():
-                try:
-                    answers.append((k, time_map(profile, y)))
-                except Exception as exc:
-                    errors[k] = exc
-    if errors:
-        raise errors[min(errors, key=lambda k: first[k])]
-    return np.array(ys)[back].reshape(zs.shape)
+            pass
+    out, bad = np.full(x.shape, math.nan), np.zeros(x.shape, dtype=bool)
+    for i, v in enumerate(x.tolist()):
+        try:
+            out[i] = one(v)
+        except Exception:
+            bad[i] = True
+    return out, bad
+
+
+def _head_lanes(profile: Profile, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The head branch of _inverse_point for every 0 < z <= T(_SPLIT) at once.
+
+    Returns the inverses and a mask of the z whose iteration raises in the
+    float path; their entries are not set.
+    """
+    p, L = profile.p, profile.L_p
+    g = _head_integrand(p)
+    out, failed = np.empty(z.shape), np.zeros(z.shape, dtype=bool)
+    lanes = np.arange(z.size)
+    hi = np.full(z.shape, math.sqrt(_SPLIT - 1.0))
+    w = z * math.sqrt(p + 1.0) / 2.0
+    w = np.where(w < hi, w, hi)
+    lo, flo = np.zeros(z.shape), -z
+    for _ in range(_HEAD_STEPS):
+        y = 1.0 + w * w
+        t, bad = _answer(lambda v: time_map(profile, v), y, lambda v: _time_map_many(profile, v))
+        fw = t - z
+        stop = np.abs(fw) <= 0.5e-12 * L
+        out[lanes[stop]] = y[stop]
+        failed[lanes[bad]] = True
+        keep = ~(stop | bad)
+        lanes, z, w, lo, hi, flo, fw = (a[keep] for a in (lanes, z, w, lo, hi, flo, fw))
+        up = fw * flo > 0.0
+        lo, flo, hi = np.where(up, w, lo), np.where(up, fw, flo), np.where(up, hi, w)
+        slope, bad = _answer(g, w, g.many)
+        step = np.zeros(w.shape)
+        pos = slope > 0.0
+        step[pos] = fw[pos] / slope[pos]
+        w_new = w - step
+        w_new = np.where((lo < w_new) & (w_new < hi), w_new, 0.5 * (lo + hi))
+        stop = (np.abs(w_new - w) <= 1e-16 * np.where(w > 1.0, w, 1.0)) & ~bad
+        w = w_new
+        out[lanes[stop]] = 1.0 + w[stop] * w[stop]
+        failed[lanes[bad]] = True
+        keep = ~(stop | bad)
+        lanes, z, w, lo, hi, flo = (a[keep] for a in (lanes, z, w, lo, hi, flo))
+        if not lanes.size:
+            return out, failed
+    out[lanes] = 1.0 + w * w
+    return out, failed
+
+
+def _tail_lanes(profile: Profile, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tail branch of _inverse_point for every z > T(_SPLIT) at once.
+
+    Returns the inverses and a mask of the z whose iteration raises in the
+    float path; their entries are not set.
+    """
+    p, L = profile.p, profile.L_p
+
+    def t_many(y):
+        return _answer(lambda v: time_map(profile, v), y, lambda v: _time_map_many(profile, v))
+
+    out = np.empty(z.shape)
+    y0, failed = _answer(lambda v: _tail_start(p, L, v), z)
+    lanes = np.flatnonzero(~failed)
+    z, y0 = z[lanes], y0[lanes]
+    lo = np.where(y0 > _SPLIT, y0, _SPLIT)
+    hi = np.where(2.0 * lo > 1e3 * y0, 2.0 * lo, 1e3 * y0)
+    t, bad = t_many(np.concatenate([lo, hi]))
+    bad = bad[:z.size] | bad[z.size:]
+    flo, fhi = t[:z.size] - z, t[z.size:] - z
+    back = flo > 0.0
+    lo, flo = np.where(back, _SPLIT, lo), np.where(back, _z_split(p) - z, flo)
+    expand = np.zeros(z.shape, dtype=int)
+    grow = np.flatnonzero((fhi < 0.0) & ~bad)
+    while grow.size:
+        lo[grow], flo[grow] = hi[grow], fhi[grow]
+        hi[grow] *= 10.0
+        t, bad[grow] = t_many(hi[grow])
+        fhi[grow] = t - z[grow]
+        expand[grow] += 1
+        grow = grow[(fhi[grow] < 0.0) & (expand[grow] < _EXPANSIONS) & ~bad[grow]]
+    # an unbracketed z raises RuntimeError in the float path
+    bad |= (flo > 0.0) | (fhi < 0.0)
+    failed[lanes[bad]] = True
+    lanes, z, lo, hi = (a[~bad] for a in (lanes, z, lo, hi))
+    y = 0.5 * (lo + hi)
+    for _ in range(_TAIL_STEPS):
+        t, bad = t_many(y)
+        fy = t - z
+        stop = np.abs(fy) <= 0.5e-12 * L
+        out[lanes[stop]] = y[stop]
+        failed[lanes[bad]] = True
+        keep = ~(stop | bad)
+        lanes, z, y, lo, hi, fy = (a[keep] for a in (lanes, z, y, lo, hi, fy))
+        below = fy < 0.0
+        lo, hi = np.where(below, y, lo), np.where(below, hi, y)
+        d = np.array([_time_map_deriv(p, v) for v in y.tolist()])
+        bad = d == 0.0  # fy / d raises ZeroDivisionError in the float path
+        y_new = y - fy / np.where(bad, 1.0, d)
+        y_new = np.where((lo < y_new) & (y_new < hi), y_new, 0.5 * (lo + hi))
+        stop = (np.abs(y_new - y) <= 4e-16 * y) & ~bad
+        y = y_new
+        out[lanes[stop]] = y[stop]
+        failed[lanes[bad]] = True
+        keep = ~(stop | bad)
+        lanes, z, y, lo, hi = (a[keep] for a in (lanes, z, y, lo, hi))
+        if not lanes.size:
+            return out, failed
+    out[lanes] = y
+    return out, failed
+
+
+def _inverse_many(profile: Profile, zs: np.ndarray) -> np.ndarray:
+    """The array path: _inverse_point's iteration for every distinct z at once.
+
+    Each z is one lane of numpy elementwise arithmetic, which rounds as the
+    float path's does, and each round evaluates the T(y) of all running
+    lanes with one ``_time_map_many`` call.  A z outside the domain, or one
+    whose iteration would raise in the float path, leaves the lanes and is
+    answered by the float path, which raises its exception; as in a loop
+    over ``zs``, the first failing index's exception is raised.
+    """
+    z, first, back = np.unique(zs.ravel(), return_index=True, return_inverse=True)
+    y = np.ones(z.shape)
+    failed = ~((z >= 0.0) & (z <= (1.0 - INVERSION_CAP) * profile.L_p))
+    split = _z_split(profile.p)
+    # numpy's flags stay quiet: the one float operation that would raise, a
+    # division by zero, marks its lane failed, and the rest round alike
+    with np.errstate(all="ignore"):
+        for lanes, mask in ((_head_lanes, ~failed & (z > 0.0) & (z <= split)),
+                            (_tail_lanes, ~failed & (z > split))):
+            if mask.any():
+                y[mask], bad = lanes(profile, z[mask])
+                failed[np.flatnonzero(mask)[bad]] = True
+    for k in sorted(np.flatnonzero(failed).tolist(), key=lambda k: first[k]):
+        y[k] = _inverse_point(profile, float(z[k]))
+    return y[back].reshape(zs.shape)
 
 
 def time_map_inverse(profile: Profile, z):
@@ -342,13 +509,7 @@ def time_map_inverse(profile: Profile, z):
     """
     if np.ndim(z) > 0:
         return _inverse_many(profile, np.asarray(z, dtype=float))
-    steps = _inverse_steps(profile, z)
-    t = None
-    try:
-        while True:
-            t = time_map(profile, steps.send(t))
-    except StopIteration as stop:
-        return stop.value
+    return _inverse_point(profile, z)
 
 
 @lru_cache(maxsize=1_000_000)

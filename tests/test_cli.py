@@ -288,6 +288,18 @@ def test_verify_unbracketed_inverse_exits_2(capsys):
     _one_line_error(err, "OverflowError")
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["norms", "--p", "1.01", "--q1", "0.001", "--q2", "0.002", "--r1", "0.001", "--r2", "0.002"],
+     ["profile minimum mu_p", "p = 1.01"]),
+    (["verify", "--ps", "1.02"], ["norm ||U||_q", "p = 1.02", "q = 0.003"]),
+])
+def test_overflow_errors_name_the_layer_and_input(capsys, argv, names):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    _one_line_error(err, "OverflowError")
+    assert all(name in err for name in names), err
+
+
 OVERFLOW_BOTH = ["roots", *BASE, "--A", "exp(s)", "--B", "exp(t)", "--lambda", "1"]
 
 

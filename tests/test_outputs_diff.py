@@ -63,3 +63,33 @@ def test_argvs_file_must_hold_lists_of_strings(tmp_path):
     with pytest.raises(SystemExit, match="must hold a JSON list of lists of strings"):
         outputs_diff.file_argvs(path)
     assert outputs_diff.file_argvs(ROOT / "tools" / "corner_argvs.json")[0][0] == "eval"
+
+
+def test_largest_move_compares_numbers_token_by_token():
+    assert outputs_diff.largest_move("u,1.5,-2e-3\n", "u,1.5,-2e-3\n") == 0.0
+    assert outputs_diff.largest_move("x 2.0 y 4.0", "x 2.0 y 5.0") == pytest.approx(0.2)
+    assert outputs_diff.largest_move("inf nan 1", "inf nan 1") == 0.0
+    assert outputs_diff.largest_move("1.0", "inf") == float("inf")
+    assert outputs_diff.largest_move("1 2", "1 2 3") is None
+
+
+def test_all_differences_lists_every_request_with_exit_change_and_move():
+    old = [_outcome(stdout="v 1.0\n"), _outcome(), _outcome(stdout="FAIL 1e-5\n", code=1)]
+    new = [_outcome(stdout="v 1.1\n"), _outcome(), _outcome(stdout="PASS 1e-6\n", code=0)]
+    assert outputs_diff.all_differences(old, new) == [
+        (0, "stdout differ; exit 0 -> 0; largest relative move 9.091e-02"),
+        (2, "exit, stdout differ; exit 1 -> 0; largest relative move 9.000e-01"),
+    ]
+    assert outputs_diff.all_differences(old, list(old)) == []
+
+
+def test_all_flag_against_itself_agrees(tmp_path, child_env):
+    argvs = [["norms", "--p", "3", "--q1", "0.5", "--q2", "0.7", "--r1", "0.2", "--r2", "0.3"],
+             ["norms", "--p", "0.5"]]
+    path = tmp_path / "argvs.json"
+    path.write_text(json.dumps(argvs))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "outputs_diff.py"),
+                           str(ROOT), str(ROOT), "--argvs", str(path), "--all"],
+                          capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{path}: 0 of 2 requests differ\n"

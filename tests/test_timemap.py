@@ -219,3 +219,13 @@ def test_inverse_brackets_near_p_1(p):
         assert abs(time_map(profile, y) - z) <= 1e-12 * profile.L_p, z
     for z, y in zip(zs[::50], ys[::50]):
         assert y == pytest.approx(bisection_inverse(profile, float(z)), rel=1e-9), z
+
+
+def test_inverse_past_the_double_range_names_z():
+    # at p = 1.02 the inverse of the last grid points exceeds the largest
+    # double; the error is an OverflowError naming z
+    profile = make_profile(1.02)
+    z = float(profile.L_p * 2499 / 2500)
+    for arg in (z, np.array([0.0, z])):
+        with pytest.raises(OverflowError, match=f"z = {z!r} \\(p = 1.02\\) exceeds the largest double"):
+            time_map_inverse(profile, arg)

@@ -3,7 +3,10 @@
 ``timemap_reference.time_map_inverse`` is the inverse as two plain scalar
 Newton loops; the float and array paths of
 ``blowup.timemap.time_map_inverse`` must both reproduce it, exceptions
-included.  ``quadpack.qk21_many`` must reproduce ``_qk21`` row by row.
+included.  The lanes of the array path are also checked on their own,
+and a z whose iteration fails must leave them alone.
+``quadpack.qk21_many`` must reproduce ``_qk21`` row by row, and the
+integrands' array forms their scalar values node by node.
 """
 
 import math
@@ -94,6 +97,182 @@ def test_float_and_array_paths_match_reference_on_the_restart_path():
                 and time_map(profile, max(4.0, (b / (L - z)) ** b)) > z]
     assert len(restarts) >= 5
     _check_paths(profile, zs)
+
+
+def _lane_inputs(profile):
+    """Inputs of _head_lanes and of _tail_lanes, and their float-path inverses."""
+    split = timemap._z_split(profile.p)
+    cap = (1.0 - INVERSION_CAP) * profile.L_p
+    rng = random.Random(int(profile.p * 1000))
+    zs = [5e-324, 1e-300, 1e-12, split, math.nextafter(split, 0.0),
+          math.nextafter(split, math.inf), cap, math.nextafter(cap, 0.0)]
+    zs += [rng.uniform(0.0, split) for _ in range(40)]
+    zs += [cap - (cap - split) * 10.0 ** -rng.uniform(0.0, 9.0) for _ in range(40)]
+    # an even grid over (0, L_p): near p = 1 some of its tail points restart
+    # the bracket from _SPLIT
+    zs += (profile.L_p * np.arange(0, 2500, 7) / 2500).tolist()
+    # near p = 1 the inverse near the cap exceeds the double range
+    pairs = [(z, _outcome(timemap._inverse_point, profile, z)) for z in zs if 0.0 < z <= cap]
+    pairs = [(z, y) for z, y in pairs if isinstance(y, float)]
+    return ([pair for pair in pairs if pair[0] <= split],
+            [pair for pair in pairs if pair[0] > split])
+
+
+def _check_lanes(lanes, profile, pairs):
+    zs, expected = zip(*pairs)
+    y, failed = lanes(profile, np.array(zs))
+    assert not failed.any()
+    assert y.tolist() == list(expected)
+
+
+@pytest.mark.parametrize("p", [1.02, 1.05, 1.3, 2.0, 4.37, 60.0])
+def test_lanes_match_float_path(p):
+    # _head_lanes and _tail_lanes called directly: no lane may leave for the
+    # float path on these inputs, and every lane must reproduce it
+    profile = make_profile(p)
+    head, tail = _lane_inputs(profile)
+    # at p = 60, T(_SPLIT) rounds to L_p and every z is a head z
+    assert len(head) >= 40 and (len(tail) >= 10 or p == 60.0)
+    _check_lanes(timemap._head_lanes, profile, head)
+    if tail:
+        _check_lanes(timemap._tail_lanes, profile, tail)
+
+
+def test_tail_lanes_match_float_path_when_the_bracket_expands(monkeypatch):
+    # the lower bound y0 is sharp enough that the 10x expansion of the
+    # bracket never runs on real inputs; start both paths far too low
+    start = timemap._tail_start
+    monkeypatch.setattr(timemap, "_tail_start", lambda p, L, z: start(p, L, z) * 1e-9)
+    for p in (1.3, 3.0, 20.0):
+        profile = make_profile(p)
+        _check_lanes(timemap._tail_lanes, profile, _lane_inputs(profile)[1])
+
+
+def _count_float_path(monkeypatch):
+    calls = []
+    point = timemap._inverse_point
+
+    def counted(profile, z):
+        calls.append(z)
+        return point(profile, z)
+
+    monkeypatch.setattr(timemap, "_inverse_point", counted)
+    return calls
+
+
+def test_only_failing_z_leave_the_lanes(monkeypatch):
+    # at p = 1.02 the inverse of the last two grid points exceeds the
+    # largest double; the float path answers only the first of them
+    calls = _count_float_path(monkeypatch)
+    profile = make_profile(1.02)
+    zs = profile.L_p * np.arange(2500) / 2500
+    with pytest.raises(OverflowError, match=f"z = {float(zs[-2])!r} "):
+        time_map_inverse(profile, zs)
+    assert calls == [float(zs[-2])]
+    # outside the domain: the first failing index raises, in index order
+    calls.clear()
+    with pytest.raises(ValueError, match="requires z >= 0"):
+        time_map_inverse(profile, np.array([0.5, -1.0, math.nan, 0.25, 0.5]))
+    assert calls == [-1.0]
+
+
+@pytest.mark.parametrize("p", [1.3, 3.0])
+def test_lanes_confine_a_failing_time_map(monkeypatch, p):
+    # a T(y) that raises for one y fails only the lane that asked for it
+    profile = make_profile(p)
+    head, tail = _lane_inputs(profile)
+    zs = [z for z, _ in head[:20] + tail[:20]]
+    z_bad = zs[len(zs) // 2]
+    y_bad = timemap._inverse_point(profile, z_bad)  # the last y its iteration asks for
+    forward, forward_many = timemap.time_map, timemap._time_map_many
+
+    def time_map_failing(profile, y):
+        if y == y_bad:
+            raise ArithmeticError(f"no T at y = {y!r}")
+        return forward(profile, y)
+
+    def time_map_many_failing(profile, ys):
+        if (ys == y_bad).any():
+            raise ArithmeticError("one y fails")
+        return forward_many(profile, ys)
+
+    monkeypatch.setattr(timemap, "time_map", time_map_failing)
+    monkeypatch.setattr(timemap, "_time_map_many", time_map_many_failing)
+    calls = _count_float_path(monkeypatch)
+    with pytest.raises(ArithmeticError, match=f"no T at y = {y_bad!r}"):
+        time_map_inverse(profile, np.array(zs))
+    assert calls == [z_bad]
+    # with the failure only in the batch, every lane still gets its bits
+    monkeypatch.setattr(timemap, "time_map", forward)
+    calls.clear()
+    expected = [timemap._inverse_point(profile, z) for z in zs]
+    calls.clear()
+    assert time_map_inverse(profile, np.array(zs)).tolist() == expected
+    assert calls == []
+
+
+def test_lanes_confine_a_failing_slope(monkeypatch):
+    # a head slope that raises for one w fails only the lane that asked for it
+    profile = make_profile(3.0)
+    zs = [z for z, _ in _lane_inputs(profile)[0][:30]]
+    z_bad = zs[15]
+    w_bad = min(math.sqrt(timemap._SPLIT - 1.0), z_bad * math.sqrt(profile.p + 1.0) / 2.0)
+    integrand = timemap._head_integrand
+
+    def failing_integrand(p):
+        g = integrand(p)
+
+        def f(w):
+            if w == w_bad:
+                raise ArithmeticError(f"no slope at w = {w!r}")
+            return g(w)
+
+        def many(w):
+            if (w == w_bad).any():
+                raise ArithmeticError("one w fails")
+            return g.many(w)
+
+        f.many = many
+        return f
+
+    monkeypatch.setattr(timemap, "_head_integrand", failing_integrand)
+    calls = _count_float_path(monkeypatch)
+    with pytest.raises(ArithmeticError, match=f"no slope at w = {w_bad!r}"):
+        time_map_inverse(profile, np.array(zs))
+    assert calls == [z_bad]
+
+
+def test_a_zero_slope_fails_the_lane_as_the_float_path_does(monkeypatch):
+    # y - fy / T'(y) raises ZeroDivisionError on the float path where the
+    # slope is 0; numpy would divide quietly, so the lane must leave
+    profile = make_profile(3.0)
+    zs = [z for z, _ in _lane_inputs(profile)[1][:10]]
+    monkeypatch.setattr(timemap, "_time_map_deriv", lambda p, y: 0.0)
+    calls = _count_float_path(monkeypatch)
+    with pytest.raises(ZeroDivisionError):
+        time_map_inverse(profile, np.array(zs))
+    assert calls == [zs[0]]
+
+
+@pytest.mark.parametrize("p", [1.05, 3.0, 40.0])
+def test_integrand_array_forms_match_scalar(p):
+    rng = random.Random(int(p * 10))
+    cases = {
+        "head": (timemap._head_integrand(p),
+                 [0.0, -0.0, 1e-150, 1.0, math.sqrt(3.0), 1e200, math.inf, math.nan]
+                 + [rng.uniform(0.0, 2.0) for _ in range(50)]),
+        "tail": (timemap._tail_integrand(p),
+                 [0.0, -0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), math.nan]
+                 + [rng.uniform(0.0, 1.0) for _ in range(50)]),
+    }
+    for name, (f, nodes) in cases.items():
+        assert _bits(f.many(np.array(nodes))) == _bits(f(x) for x in nodes), name
+    # where f raises, the array form raises f's exception at the first such node
+    failing = {"head": [0.5, 1e-170, 1e200], "tail": [0.5, 1.0, -0.5, 2.0]}
+    for name, nodes in failing.items():
+        f = cases[name][0]
+        expected = next(_outcome(f, x) for x in nodes if isinstance(_outcome(f, x), tuple))
+        assert _outcome(f.many, np.array(nodes)) == expected, name
 
 
 def test_array_shape_and_first_failing_index():

@@ -68,7 +68,10 @@ def time_map_inverse(profile: Profile, z: float) -> float:
 
     # Tail regime: y* >= Y0 because the tail integrand is >= 1.
     b = 2.0 / (p - 1.0)
-    y0 = (b / (L - z)) ** b
+    try:
+        y0 = (b / (L - z)) ** b
+    except OverflowError:
+        raise OverflowError(f"time map inverse at z = {z!r} (p = {p!r}) exceeds the largest double") from None
     lo = max(_SPLIT, y0)
     hi = max(1e3 * y0, 2.0 * lo)
     flo = time_map(profile, lo) - z

@@ -1,7 +1,7 @@
 """Compare what two source trees print for the same benchmark requests.
 
     python3 tools/outputs_diff.py OLD NEW --workload sweep --seed 601 -n 24
-    python3 tools/outputs_diff.py OLD NEW --argvs tools/corner_argvs.json
+    python3 tools/outputs_diff.py OLD NEW --argvs tools/corner_argvs.json --all
 
 OLD and NEW are checkouts of this repository (a directory holding
 ``src/blowup``).  The first N argvs of a ``perfbench`` workload stream at
@@ -10,12 +10,16 @@ are sent to ``blowup.cli.main``, in one child interpreter per tree that
 imports that tree's package, the way the benchmark's worker sends them.
 ``corner_argvs.json`` next to this tool holds requests the streams never
 draw: p near 1 and large p, a tiny boundary offset, an even grid, verify
-outside its working range, and the norm oracles.  For each request the
+outside its working range and at p = 2.2, 3.7 and 7, the norm oracles, and
+inputs whose result overflows a double.  For each request the
 child records stdout, stderr, the exit code, and the exception if one
 escaped ``main``.  The tool prints the first request where any of the
 four differs, with the first differing line, and exits 1; it exits 0
-when all agree.  The streams come from the ``perfbench/workloads.py``
-next to this tool, so both trees get the same argvs.
+when all agree.  With ``--all`` it lists every differing request instead:
+which fields differ, the exit codes, and the largest relative move over
+the numbers in stdout, token by token.  The streams come from the
+``perfbench/workloads.py`` next to this tool, so both trees get the same
+argvs.
 """
 
 from __future__ import annotations
@@ -24,13 +28,16 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FIELDS = ("exit", "exception", "stdout", "stderr")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
 
 def run_requests(argvs: list[list[str]]) -> list[dict]:
@@ -87,6 +94,35 @@ def first_difference(old: list[dict], new: list[dict]) -> tuple[int, str] | None
     return None
 
 
+def largest_move(old: str, new: str) -> float | None:
+    """Largest relative change between the numbers of two texts, token by
+    token; None when they hold different numbers of numeric tokens."""
+    a, b = NUMBER.findall(old), NUMBER.findall(new)
+    if len(a) != len(b):
+        return None
+    worst = 0.0
+    for x, y in zip(map(float, a), map(float, b)):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        scale = max(abs(x), abs(y))
+        worst = max(worst, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+    return worst
+
+
+def all_differences(old: list[dict], new: list[dict]) -> list[tuple[int, str]]:
+    """(request index, summary) for every request whose outcomes differ."""
+    found = []
+    for i, (a, b) in enumerate(zip(old, new)):
+        fields = [f for f in FIELDS if a[f] != b[f]]
+        if not fields:
+            continue
+        move = largest_move(a["stdout"], b["stdout"])
+        found.append((i, f"{', '.join(fields)} differ; exit {a['exit']} -> {b['exit']}; "
+                         + ("stdout numbers not comparable" if move is None
+                            else f"largest relative move {move:.3e}")))
+    return found
+
+
 def stream_argvs(workload: str, seed: int, n: int) -> list[list[str]]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -116,6 +152,8 @@ def main(argv=None) -> int:
     parser.add_argument("-n", type=int, default=24, help="requests from the start of the stream")
     parser.add_argument("--argvs", type=Path, default=None, metavar="FILE",
                         help="JSON list of argvs to send instead of a workload stream")
+    parser.add_argument("--all", action="store_true",
+                        help="list every differing request, not just the first")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -129,6 +167,12 @@ def main(argv=None) -> int:
         argvs = stream_argvs(args.workload, args.seed, args.n)
         label = f"{args.workload} seed {args.seed}"
     old, new = tree_outcomes(args.old, argvs), tree_outcomes(args.new, argvs)
+    if args.all:
+        differ = all_differences(old, new)
+        for index, what in differ:
+            print(f"request {index}: {what}\n  argv: {' '.join(argvs[index])}")
+        print(f"{label}: {len(differ)} of {len(argvs)} requests differ")
+        return 1 if differ else 0
     found = first_difference(old, new)
     if found is None:
         codes = sorted({str(o["exit"]) for o in new})
