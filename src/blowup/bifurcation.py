@@ -337,57 +337,66 @@ def _h_or_nan(h, s: float) -> float:
     return value
 
 
-def _refine_bracket(h, lo: float, hi: float) -> float:
-    """Brent refinement of a sign change of h on [lo, hi].
+def _refine_bracket(h, h_fixed, lo: float, hi: float) -> tuple[float, float]:
+    """Brent refinement of a sign change of h on [lo, hi]: the root and h there.
 
-    Endpoints where h overflows or fails to evaluate are pulled inward
-    geometrically first; the sign change survives by continuity.
+    h_fixed is h with g memoised by s; it evaluates the ends and the points
+    they are pulled in to.  Endpoints where h overflows or fails to evaluate
+    are pulled inward geometrically first; the sign change survives by
+    continuity.
     """
-    flo, fhi = _h_or_nan(h, lo), _h_or_nan(h, hi)
+    flo, fhi = _h_or_nan(h_fixed, lo), _h_or_nan(h_fixed, hi)
     for _ in range(200):
         if math.isfinite(flo):
             break
         lo = math.sqrt(lo * hi)
-        flo = _h_or_nan(h, lo)
+        flo = _h_or_nan(h_fixed, lo)
     for _ in range(200):
         if math.isfinite(fhi):
             break
         hi = math.sqrt(lo * hi)
-        fhi = _h_or_nan(h, hi)
+        fhi = _h_or_nan(h_fixed, hi)
     if not (math.isfinite(flo) and math.isfinite(fhi)) or flo * fhi > 0.0:
         raise RuntimeError(f"lost the sign change while shrinking bracket [{lo}, {hi}]")
     if flo == 0.0:
-        return lo
+        return lo, flo
     if fhi == 0.0:
-        return hi
-    return _brent(h, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        return hi, fhi
+    return _brent_from(h, lo, flo, hi, fhi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
 
 def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """``_brent_from`` with SciPy ``brentq``'s interface: f at both ends is
+    evaluated here, and the root alone is returned."""
+    fa = f(xa)
+    if math.isnan(fa):
+        raise ValueError(f"The function value at x={xa} is NaN; solver cannot continue.")
+    fb = f(xb)
+    if math.isnan(fb):
+        raise ValueError(f"The function value at x={xb} is NaN; solver cannot continue.")
+    return _brent_from(f, xa, fa, xb, fb, xtol, rtol, maxiter)[0]
+
+
+def _brent_from(f, xa: float, fa: float, xb: float, fb: float,
+                xtol: float, rtol: float, maxiter: int) -> tuple[float, float]:
     """Brent's root finder, a line-for-line port of the SciPy library's C ``brentq``.
 
     Brent (1973), *Algorithms for Minimization without Derivatives*, ch. 4:
     inverse quadratic or linear interpolation when it gains fast enough,
     bisection otherwise, stopping when half the bracket is below
     (xtol + rtol |x|) / 2.  The same arithmetic in the same order gives the
-    same roots bit for bit.  A NaN value raises ValueError, as does a
-    bracket without a sign change; RuntimeError means no convergence within
-    maxiter iterations.
+    same roots bit for bit.  fa = f(xa) and fb = f(xb) come from the caller,
+    which has checked that neither is NaN; the root is returned with f
+    there.  A NaN value raises ValueError, as does a bracket without a sign
+    change; RuntimeError means no convergence within maxiter iterations.
     """
-    def call(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
     xpre, xcur = xa, xb
+    fpre, fcur = fa, fb
     xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
     if fpre == 0.0:
-        return xpre
+        return xpre, fpre
     if fcur == 0.0:
-        return xcur
+        return xcur, fcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     for _ in range(maxiter):
@@ -401,7 +410,7 @@ def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> f
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
@@ -430,31 +439,64 @@ def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> f
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 120) -> tuple[float, float]:
-    """Golden-section minimum of f over [lo, hi], searched in log space."""
+def _golden_min(g, target: float, sigma: float, lo: float, hi: float,
+                trails: dict | None = None, iters: int = 120) -> tuple[float, float]:
+    """Golden-section minimum of f(s) = sigma*(g(s) - target) over [lo, hi],
+    searched in log space: (s_min, f(s_min)).
+
+    The nodes depend only on lo, hi and the decisions fc <= fd, and a
+    decision depends on the target only through rounding ties.  With
+    ``trails`` (a dict kept across the calls of one sweep), each search
+    records its decisions and g at the nodes it compared under
+    (lo, hi, sigma).  A later search there re-takes every recorded decision
+    for its own target in one numpy comparison (numpy's elementwise - and *
+    round as Python's do); if all come out the same, it follows the same
+    nodes, and the recorded final node is returned without evaluating g.
+    Otherwise the loop runs, and its trail replaces the old one.
+    """
+    key = (lo, hi, sigma)
+    if trails is not None:
+        trail = trails.get(key)
+        if trail is not None:
+            g_c, g_d, decisions, s_end, g_end = trail
+            if np.array_equal(sigma * (g_c - target) <= sigma * (g_d - target), decisions):
+                return s_end, sigma * (g_end - target)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(lo), math.log(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(math.exp(c)), f(math.exp(d))
+    gc, gd = g(math.exp(c)), g(math.exp(d))
+    fc, fd = sigma * (gc - target), sigma * (gd - target)
+    compared: list[tuple[float, float, bool]] = []
     for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
+        left = fc <= fd
+        if trails is not None:
+            compared.append((gc, gd, left))
+        if left:
+            b, d, gd, fd = d, c, gc, fc
             c = b - invphi * (b - a)
-            fc = f(math.exp(c))
+            gc = g(math.exp(c))
+            fc = sigma * (gc - target)
         else:
-            a, c, fc = c, d, fd
+            a, c, gc, fc = c, d, gd, fd
             d = a + invphi * (b - a)
-            fd = f(math.exp(d))
+            gd = g(math.exp(d))
+            fd = sigma * (gd - target)
         if b - a <= 1e-13:
             break
-    if fc <= fd:
-        return math.exp(c), fc
-    return math.exp(d), fd
+    left = fc <= fd
+    s_end, g_end, f_end = (math.exp(c), gc, fc) if left else (math.exp(d), gd, fd)
+    if trails is not None:
+        compared.append((gc, gd, left))
+        g_c, g_d, decisions = (np.array(column) for column in zip(*compared))
+        trails[key] = (g_c, g_d, decisions, s_end, g_end)
+    return s_end, f_end
 
 
 def _checked_window(table: NormTable,
@@ -484,23 +526,37 @@ def _scan(spec: ProblemSpec, table: NormTable, window: tuple[float, float],
 class _SweepContext:
     """What every solve of one sweep shares, since g does not depend on lambda.
 
-    ``grid``/``g_grid`` are the window's ``_scan``, ``g`` is the one scalar g
-    kernel, and ``g_fixed`` maps the lambda-independent points the solves
-    visit (golden-section nodes of dips, the edge probes) to g there, so
-    each of them is computed once per sweep.  A point where g raises is not
-    kept: it raises again on every visit.
+    ``grid``/``g_grid`` are the window's ``_scan`` and ``g`` is the one
+    scalar g kernel.  ``g_fixed`` is g memoised by s for the points whose s
+    does not depend on lambda (bracket ends and the points they are pulled
+    in to, golden-section nodes and dip minima, edge probes), so each of
+    them is evaluated once per sweep; a point where g raises is not kept and
+    raises again on every visit.  ``golden`` holds each dip cell's
+    golden-section trail for ``_golden_min`` to replay; it is None for a
+    lone solve, which has nothing to replay.
     """
 
     grid: np.ndarray
     g_grid: np.ndarray
     g: Callable[[float], float]
-    g_fixed: dict[float, float]
+    g_fixed: Callable[[float], float]
+    golden: dict | None
 
 
 def _sweep_context(spec: ProblemSpec, table: NormTable, window: tuple[float, float],
-                   n_grid: int) -> _SweepContext:
+                   n_grid: int, replay: bool = True) -> _SweepContext:
     grid, g_grid = _scan(spec, table, window, n_grid)
-    return _SweepContext(grid=grid, g_grid=g_grid, g=_g_kernel(spec, table), g_fixed={})
+    g = _g_kernel(spec, table)
+    memo: dict[float, float] = {}
+
+    def g_fixed(s: float) -> float:
+        value = memo.get(s)
+        if value is None:
+            value = memo[s] = g(s)
+        return value
+
+    return _SweepContext(grid=grid, g_grid=g_grid, g=g, g_fixed=g_fixed,
+                         golden={} if replay else None)
 
 
 # event codes in _events are indices into this tuple; 0 means no event
@@ -548,7 +604,10 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
     be undercounted; widen the window or raise n_grid in doubt.
 
     ``_scanned`` is the ``_SweepContext`` of this window, which ``sweep``
-    builds once and passes to every solve; n_grid is then ignored.
+    builds once and passes to every solve; n_grid is then ignored.  The
+    solve then takes g at lambda-independent points from the sweep's memo
+    by s and replays the golden-section searches of earlier solves, with
+    the same results as a solve that shares nothing.
     """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
@@ -557,29 +616,18 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
     s_lo, s_hi = _checked_window(table, window)
 
     target = lam * table.n_q1 ** (1.0 - spec.p)
-    context = _sweep_context(spec, table, (s_lo, s_hi), n_grid) if _scanned is None else _scanned
+    context = (_sweep_context(spec, table, (s_lo, s_hi), n_grid, replay=False)
+               if _scanned is None else _scanned)
     grid = context.grid
     h_grid = context.g_grid - target
     g, g_fixed = context.g, context.g_fixed
-    # h at every point this solve has visited: Brent starts from the bracket
-    # ends its caller just evaluated, and push revisits the refined root
-    h_seen: dict[float, float] = {}
 
     def h(s: float) -> float:
-        value = h_seen.get(s)
-        if value is None:
-            value = h_seen[s] = g(s) - target
-        return value
+        return g(s) - target
 
     def h_fixed(s: float) -> float:
         """h at a lambda-independent point, with g there shared by the sweep."""
-        value = h_seen.get(s)
-        if value is None:
-            g_s = g_fixed.get(s)
-            if g_s is None:
-                g_s = g_fixed[s] = g(s)
-            value = h_seen[s] = g_s - target
-        return value
+        return g_fixed(s) - target
 
     sign = np.sign(h_grid)
     events = _events(grid, sign, np.abs(h_grid), _CANDIDATE_TOL * abs(target))
@@ -587,9 +635,8 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
     roots: list[Root] = []
     overflow = False
 
-    def push(s_root: float, kind: str) -> None:
-        res = abs(h(s_root)) / abs(target)
-        roots.append(Root(s=s_root, kind=kind, residual=res,
+    def push(s_root: float, h_root: float, kind: str) -> None:
+        roots.append(Root(s=s_root, kind=kind, residual=abs(h_root) / abs(target),
                           quadruple=lift_quadruple(table, s_root)))
 
     for i, etype in events:
@@ -597,27 +644,28 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
             overflow = True
             break
         if etype == "bracket":
-            push(_refine_bracket(h, float(grid[i]), float(grid[i + 1])), "transversal")
+            push(*_refine_bracket(h, h_fixed, float(grid[i]), float(grid[i + 1])), "transversal")
         elif etype == "gridzero":
             left = sign[i - 1] if i > 0 else 0.0
             right = sign[i + 1] if i < len(grid) - 1 else 0.0
-            push(float(grid[i]), "transversal" if left * right < 0.0 else "tangential")
+            s_zero = float(grid[i])
+            push(s_zero, h_fixed(s_zero), "transversal" if left * right < 0.0 else "tangential")
         else:  # dip
             sigma = float(sign[i])
-            s_min, f_min = _golden_min(lambda s: sigma * h_fixed(s),
-                                       float(grid[i - 1]), float(grid[i + 1]))
+            s_min, f_min = _golden_min(g_fixed, target, sigma, float(grid[i - 1]),
+                                       float(grid[i + 1]), context.golden)
             tol = TANGENT_TOL * abs(target)
             if f_min > tol:
                 continue
             if f_min >= -tol:
-                push(s_min, "tangential")
+                push(s_min, h_fixed(s_min), "tangential")
             else:
                 # the dip actually crosses zero twice inside one grid cell
-                push(_refine_bracket(h, float(grid[i - 1]), s_min), "transversal")
+                push(*_refine_bracket(h, h_fixed, float(grid[i - 1]), s_min), "transversal")
                 if len(roots) >= count_cap:
                     overflow = True
                     break
-                push(_refine_bracket(h, s_min, float(grid[i + 1])), "transversal")
+                push(*_refine_bracket(h, h_fixed, s_min, float(grid[i + 1])), "transversal")
 
     # probe for roots just outside the window
     window_edge = False
@@ -626,7 +674,7 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
         if math.isfinite(f_out) and math.isfinite(f_in) and f_out * f_in < 0.0:
             window_edge = True
             try:
-                push(_refine_bracket(h, outer, inner), "window-edge")
+                push(*_refine_bracket(h, h_fixed, outer, inner), "window-edge")
             except (CoefficientError, EvalError, RuntimeError):
                 pass
 
@@ -708,10 +756,12 @@ def sweep(spec: ProblemSpec, table: NormTable, lambda_grid,
     whose counts differ, to relative accuracy 1e-9 or until the tangential
     band is hit.  A threshold adjacent to an overflow-flagged lambda is
     marked unreliable.  The window is scanned once: g does not depend on
-    lambda, so every per-lambda solve and every bisection step reuses the
-    same grid values and the same scalar g kernel, and g at a
-    lambda-independent point they revisit (a golden-section node, an edge
-    probe) is computed once.  Solves run serially in grid order; ``threads`` is
+    lambda, so every per-lambda solve and every bisection step shares one
+    ``_SweepContext``: the same grid values, the same scalar g kernel, g
+    memoised by s at the lambda-independent points they revisit (bracket
+    ends, golden-section nodes, edge probes), and each dip cell's
+    golden-section trail, which a later solve replays when its decisions
+    come out the same.  Solves run serially in grid order; ``threads`` is
     accepted for compatibility and has no effect.
     """
     lams = [float(l) for l in lambda_grid]

@@ -306,7 +306,8 @@ def test_events_match_loop_scan_property(h_grid, data):
     _check_events(h_grid, grid)
 
 
-@pytest.mark.parametrize("name, count_cap", [("cor2", 64), ("cor3", 8)])
+@pytest.mark.parametrize("name, count_cap", [("cor1", 64), ("cor2", 64), ("cor3", 64),
+                                             ("cor3", 8), ("cor4", 64)])
 def test_sweep_equals_per_lambda_solves(name, count_cap, monkeypatch):
     p = 3.0
     table = make_norm_table(p, 0.5, 0.7, 0.2, 0.3)
@@ -318,6 +319,9 @@ def test_sweep_equals_per_lambda_solves(name, count_cap, monkeypatch):
     diagram = sweep(spec, table, grid, window=window, count_cap=count_cap)
     singles = tuple(solve_single(spec, table, lam, window, count_cap) for lam in grid)
     assert diagram.results == singles
+    for res in diagram.results:
+        for root in res.roots:  # Brent's value at the root is |g - target|, recomputed
+            assert root.residual == abs(g_of_s(spec, table, root.s) - res.target) / res.target
     if name == "cor3":
         assert any(res.overflow for res in diagram.results)
     # thresholds too: bisection on fresh scans gives the same diagram
@@ -361,13 +365,14 @@ def test_both_coefficients_overflowing_is_a_coefficient_error(table3):
 
 def _recording_brent(monkeypatch):
     calls = []
+    brent_from = bifurcation._brent_from
 
-    def recording(f, xa, xb, **kwargs):
-        root = _brent(f, xa, xb, **kwargs)
+    def recording(f, xa, fa, xb, fb, **kwargs):
+        root, f_root = brent_from(f, xa, fa, xb, fb, **kwargs)
         calls.append((f, xa, xb, kwargs, root))
-        return root
+        return root, f_root
 
-    monkeypatch.setattr(bifurcation, "_brent", recording)
+    monkeypatch.setattr(bifurcation, "_brent_from", recording)
     return calls
 
 
@@ -436,9 +441,10 @@ def test_brent_bit_identical_to_scipy_on_random_brackets(xa, width, frac, k, c, 
 # scalar g evaluations of one sweep (p = 3, exponents 0.5 0.7 0.2 0.3, seven
 # lambdas from half the first to twice the last threshold, window 1e-3..1e5,
 # count_cap 64); the values in the comments are those of a sweep that made
-# a kernel per solve and re-evaluated every point it revisited
-G_EVALUATIONS = {"cor2": 883,    # was 3357
-                 "cor3": 27314}  # was 88084
+# a kernel per solve and re-evaluated every point it revisited, and of one
+# that shared only golden-section nodes and edge probes between solves
+G_EVALUATIONS = {"cor2": 781,    # was 3357, then 883
+                 "cor3": 25996}  # was 88084, then 27314
 
 
 @pytest.mark.parametrize("name", sorted(G_EVALUATIONS))
