@@ -365,18 +365,6 @@ def _refine_bracket(h, h_fixed, lo: float, hi: float) -> tuple[float, float]:
     return _brent_from(h, lo, flo, hi, fhi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
 
-def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """``_brent_from`` with SciPy ``brentq``'s interface: f at both ends is
-    evaluated here, and the root alone is returned."""
-    fa = f(xa)
-    if math.isnan(fa):
-        raise ValueError(f"The function value at x={xa} is NaN; solver cannot continue.")
-    fb = f(xb)
-    if math.isnan(fb):
-        raise ValueError(f"The function value at x={xb} is NaN; solver cannot continue.")
-    return _brent_from(f, xa, fa, xb, fb, xtol, rtol, maxiter)[0]
-
-
 def _brent_from(f, xa: float, fa: float, xb: float, fb: float,
                 xtol: float, rtol: float, maxiter: int) -> tuple[float, float]:
     """Brent's root finder, a line-for-line port of the SciPy library's C ``brentq``.
@@ -685,10 +673,7 @@ def solve_single(spec: ProblemSpec, table: NormTable, lam: float,
         if deduped and abs(r.s - deduped[-1].s) <= 1e-9 * max(r.s, deduped[-1].s):
             continue
         deduped.append(r)
-    roots = deduped
-
-    roots.sort(key=lambda r: r.s)
-    return SolveResult(roots=tuple(roots), overflow=overflow, window_edge=window_edge,
+    return SolveResult(roots=tuple(deduped), overflow=overflow, window_edge=window_edge,
                        lam=float(lam), target=target, window=(s_lo, s_hi))
 
 
@@ -749,7 +734,7 @@ def _locate_threshold(spec: ProblemSpec, table: NormTable, lo: float, hi: float,
 
 def sweep(spec: ProblemSpec, table: NormTable, lambda_grid,
           window: tuple[float, float] | None = None, count_cap: int = 64,
-          n_grid: int = 4096, threads: int = 1) -> BifurcationDiagram:
+          n_grid: int = 4096) -> BifurcationDiagram:
     """Solve per lambda and locate count-change thresholds.
 
     Thresholds are bisected (in log-lambda) between adjacent grid values
@@ -761,8 +746,7 @@ def sweep(spec: ProblemSpec, table: NormTable, lambda_grid,
     memoised by s at the lambda-independent points they revisit (bracket
     ends, golden-section nodes, edge probes), and each dip cell's
     golden-section trail, which a later solve replays when its decisions
-    come out the same.  Solves run serially in grid order; ``threads`` is
-    accepted for compatibility and has no effect.
+    come out the same.  Solves run serially in grid order.
     """
     lams = [float(l) for l in lambda_grid]
     if any(l <= 0.0 for l in lams) or any(b <= a for a, b in zip(lams, lams[1:])):

@@ -60,7 +60,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _threads() -> int:
+def _check_threads() -> None:
+    """Validate BLOWUP_THREADS (an integer >= 0); its value changes nothing."""
     raw = os.environ.get("BLOWUP_THREADS", "1")
     try:
         n = int(raw)
@@ -68,9 +69,6 @@ def _threads() -> int:
         raise UsageError(f"BLOWUP_THREADS must be an integer, got {raw!r}")
     if n < 0:
         raise UsageError("BLOWUP_THREADS must be >= 0")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
 
 
 # ----------------------------------------------------------------------
@@ -320,8 +318,9 @@ def cmd_roots(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     spec, table = _power_problem(cfg)
     grid = _lambda_grid(cfg)
+    _check_threads()
     diagram = sweep(spec, table, grid, _window(cfg, table), int(cfg["count_cap"]),
-                    int(cfg["scan_n"]), threads=_threads())
+                    int(cfg["scan_n"]))
     flags = {
         "overflow_lambdas": [res.lam for res in diagram.results if res.overflow],
         "window_edge_lambdas": [res.lam for res in diagram.results if res.window_edge],
@@ -423,11 +422,13 @@ def cmd_exp(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
+    if cfg.get("format") == "json":
+        raise UsageError("verify writes a text report; --format json is not supported")
     ps = tuple(cfg.get("ps") or (2.0, 3.0))
     checks = run_verification(ps=ps, perturb_norms=float(cfg.get("perturb_norms") or 0.0),
                               scenario=cfg.get("scenario"),
                               asymptotics=bool(cfg.get("asymptotics")))
-    print(format_report(checks))
+    _emit(cfg, format_report(checks) + "\n")
     return 0 if all(c.passed for c in checks) else 1
 
 

@@ -122,24 +122,11 @@ class CoeffExpr:
         return _print(self.ast)
 
     def free_names(self) -> frozenset[str]:
-        names: set[str] = set()
-        _collect_names(self.ast, names)
-        return frozenset(names)
+        return frozenset(node.ident for node in _postorder(self.ast, [])
+                         if isinstance(node, Name))
 
     def free_parameters(self) -> frozenset[str]:
         return frozenset(n for n in self.free_names() if n not in VARIABLES)
-
-
-def _collect_names(node: Node, out: set[str]) -> None:
-    if isinstance(node, Name):
-        out.add(node.ident)
-    elif isinstance(node, Neg):
-        _collect_names(node.operand, out)
-    elif isinstance(node, Bin):
-        _collect_names(node.left, out)
-        _collect_names(node.right, out)
-    elif isinstance(node, Call):
-        _collect_names(node.arg, out)
 
 
 # ----------------------------------------------------------------------

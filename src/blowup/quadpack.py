@@ -13,7 +13,9 @@ same bits as the reference for the same integrand.
 for bit, but applies DQK21 to all intervals at once with numpy
 elementwise arithmetic in the reference summation order (``qk21_many``):
 first to every interval, then to both halves of those the first rule
-does not settle, which DQAGSE then takes up from there.
+does not settle.  DQAGSE's tests after that first bisection are taken for
+all rows at once too; the few rows they do not settle, which need more
+than one bisection, go through ``quad`` from the start.
 
 The time map (``blowup.timemap``) integrates smooth integrands over finite
 intervals and uses nothing else of QUADPACK; this module exists so that the
@@ -260,14 +262,10 @@ def _qelg(n: int, epstab: list, res3la: list, nres: int) -> tuple[int, float, fl
 
 
 def _qagse(f, a: float, b: float, epsabs: float, epsrel: float,
-           limit: int, rule=_qk21) -> tuple[float, float, int]:
-    """DQAGSE on a <= b: returns (result, abserr, ier).
-
-    ``rule(f, a, b)`` is DQK21 on one subinterval; a caller that already
-    holds some of its values may pass a rule that looks them up.
-    """
+           limit: int) -> tuple[float, float, int]:
+    """DQAGSE on a <= b: returns (result, abserr, ier)."""
     ier = 0
-    result, abserr, defabs, resabs = rule(f, a, b)
+    result, abserr, defabs, resabs = _qk21(f, a, b)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
@@ -313,8 +311,8 @@ def _qagse(f, a: float, b: float, epsabs: float, epsrel: float,
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = rule(f, a1, b1)
-        area2, error2, _, defab2 = rule(f, a2, b2)
+        area1, error1, _, defab1 = _qk21(f, a1, b1)
+        area2, error2, _, defab2 = _qk21(f, a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
@@ -457,16 +455,6 @@ def _check_options(epsabs: float, epsrel: float, limit: int) -> None:
         raise ValueError("tolerance too small: need epsabs > 0 or epsrel >= 50 eps")
 
 
-def _qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int,
-          rule=_qk21) -> tuple[float, float]:
-    """_qagse on a <= b, warning where it reports ier > 0 (for quad's caller)."""
-    result, abserr, ier = _qagse(f, a, b, epsabs, epsrel, limit, rule)
-    if ier > 0:
-        warnings.warn(f"quad on [{a!r}, {b!r}]: {_MESSAGES[ier]} "
-                      f"(error estimate {abserr:.3g})", RuntimeWarning, stacklevel=3)
-    return result, abserr
-
-
 def quad(f, a: float, b: float, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
          limit: int = 50) -> tuple[float, float]:
     """Integral of f over the finite interval [a, b]: (value, error estimate).
@@ -482,7 +470,10 @@ def quad(f, a: float, b: float, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8
     flip = b < a
     if flip:
         a, b = b, a
-    result, abserr = _qags(f, a, b, epsabs, epsrel, limit)
+    result, abserr, ier = _qagse(f, a, b, epsabs, epsrel, limit)
+    if ier > 0:
+        warnings.warn(f"quad on [{a!r}, {b!r}]: {_MESSAGES[ier]} "
+                      f"(error estimate {abserr:.3g})", RuntimeWarning, stacklevel=2)
     return (-result if flip else result), abserr
 
 
@@ -559,45 +550,44 @@ def quad_many(f, a, b, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
 
     The first DQK21 rule of every interval comes from one ``qk21_many``
     call.  Where DQAGSE would return that rule's result unchanged (ier 0
-    and its first acceptance test passed) it is the answer.  The other
-    intervals go on through DQAGSE itself, which first bisects them: both
-    halves of all of them come from a second ``qk21_many`` call, and DQAGSE
-    reads the three rules it already has from those and computes only the
-    rest.  Warnings are quad's; a reversed or non-finite interval is
-    integrated by ``quad`` from the start.
+    and its first acceptance test passed) it is the answer.  Where DQAGSE
+    would bisect, both halves of all those intervals come from a second
+    ``qk21_many`` call, and DQAGSE's tests after its first bisection are
+    taken row by row: where they end it with ier 0, the sum of the two
+    halves is the answer.  Every other interval, reversed and non-finite
+    ones included, is integrated by ``quad`` from the start, with quad's
+    warnings.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_options(epsabs, epsrel, limit)
-    first = qk21_many(f, a, b)
-    result, abserr, defabs, resabs = first
-    # _qagse's test on its first rule, row by row; errbnd = max(epsabs, ...)
+    result, abserr, defabs, resabs = qk21_many(f, a, b)
+    # _qagse's tests on its first rule, row by row; errbnd = max(epsabs, ...)
     bound = epsrel * np.abs(result)
     errbnd = np.where(bound > epsabs, bound, epsabs)
     roundoff = (abserr <= 100.0 * _EPMACH * defabs) & (abserr > errbnd)
-    done = (((abserr <= errbnd) & (abserr != resabs)) | (abserr == 0.0)) & ~roundoff
-    done &= np.isfinite(result) & np.isfinite(abserr) & (limit > 1)
+    # no roundoff row passes this test
+    first = ((abserr <= errbnd) & (abserr != resabs)) | (abserr == 0.0)
+    done = first & np.isfinite(result) & np.isfinite(abserr) & (limit > 1)
     out = np.where(done, result, 0.0)
-    bisect = ~done & (a <= b) & np.isfinite(a) & np.isfinite(b)
-    for i in np.flatnonzero(~done & ~bisect).tolist():
+    rows = np.flatnonzero(~first & ~roundoff & (a <= b) & np.isfinite(a) & np.isfinite(b)
+                          & (limit > 2))
+    if rows.size:
+        lo, hi = a[rows], b[rows]
+        mid = 0.5 * (lo + hi)  # where _qagse bisects [lo, hi]
+        halves = qk21_many(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        (area1, area2), (error1, error2) = (np.split(r, 2) for r in halves[:2])
+        # errsum and area as _qagse updates them at its first bisection
+        whole, err = result[rows], abserr[rows]
+        area = (whole + (area1 + area2)) - whole
+        errsum = (err + (error1 + error2)) - err
+        bound = epsrel * np.abs(area)
+        tiny = (np.maximum(np.abs(lo), np.abs(hi))
+                <= (1.0 + 100.0 * _EPMACH) * (np.abs(mid) + 1000.0 * _UFLOW))  # ier 4
+        settled = (errsum <= np.where(bound > epsabs, bound, epsabs)) & ~tiny
+        # _qagse sums rlist from 0.0; the order of the halves does not matter
+        out[rows[settled]] = (0.0 + area1[settled]) + area2[settled]
+        done[rows[settled]] = True
+    for i in np.flatnonzero(~done).tolist():
         out[i] = quad(f, float(a[i]), float(b[i]), epsabs, epsrel, limit)[0]
-    rest = np.flatnonzero(bisect)
-    if rest.size:
-        ar, br = a[rest], b[rest]
-        mid = 0.5 * (ar + br)  # where _qagse bisects [a, b]
-        halves = qk21_many(f, np.concatenate([ar, mid]), np.concatenate([mid, br]))
-        ends = list(zip(ar.tolist(), mid.tolist(), br.tolist()))
-        rules = list(zip(*(r.tolist() for r in halves)))
-        # DQK21 by (lo, hi): equal intervals of two rows have equal rules
-        known = {}
-        for (lo, mi, hi), whole, left, right in zip(ends, zip(*(r[rest].tolist() for r in first)),
-                                                    rules, rules[len(ends):]):
-            known[lo, hi], known[lo, mi], known[mi, hi] = whole, left, right
-
-        def rule(f_, lo, hi):
-            found = known.get((lo, hi))
-            return found if found is not None else _qk21(f_, lo, hi)
-
-        for i, (lo, _, hi) in zip(rest.tolist(), ends):
-            out[i] = _qags(f, lo, hi, epsabs, epsrel, limit, rule)[0]
     return out

@@ -33,8 +33,10 @@ distinct z as one lane of masked numpy arithmetic (``_head_lanes``,
 float operations do; each round evaluates the T(y) of all running lanes
 together: ``quadpack.quad_many`` applies the 21-point Gauss-Kronrod rule
 to all their intervals with numpy elementwise arithmetic, and to both
-halves of those (about 5 %) that the first rule leaves unsettled, before
-QUADPACK's own code goes on with them.  A z that is outside the domain,
+halves of those (about 5 %) that the first rule leaves unsettled, whose
+sum is the integral where QUADPACK would stop after that one bisection;
+the rest, which need more bisections, go through ``quadpack.quad``.
+A z that is outside the domain,
 or whose iteration would raise on the float path (a T(y) or a slope that
 raises, an overflowing start, a bracket that fails, a division by zero),
 leaves the lanes alone, and the float path answers it or raises; the

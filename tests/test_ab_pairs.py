@@ -74,3 +74,39 @@ def test_directions_come_from_the_benchmark_declaration():
         [{"metrics": {"x": {"value": 1.0, "unit": "u"}}}], {"x": "higher"})
     assert rows[0]["wins"] == 0 and rows[0]["change"] == -0.5
     assert json.loads((ROOT / "BENCHMARK.json").read_text())["command"][-1] == "perfbench/run.py"
+
+
+def test_bounds_come_from_the_benchmark_declaration():
+    bound = ab_pairs.bounds()
+    assert bound["req_per_s"] == 0.2 and bound["peak_rss_mb"] == 0.05
+    assert "check.golden_diff" not in bound  # per-layer metrics have no bound
+
+
+def test_reports_metrics_worse_than_their_bound(tmp_path, capsys):
+    # rate 10 -> 7.5 is 25 % worse (bound 20 %), p50 5 -> 5.5 is 10 % worse
+    old = _stub_tree(tmp_path, "old", [(10.0, 5.0), (10.0, 5.0)])
+    new = _stub_tree(tmp_path, "new", [(7.5, 5.5), (7.5, 5.5)])
+    assert ab_pairs.main([str(old), str(new), "--workload", "profile", "--seed", "1",
+                          "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rate = next(line for line in lines if "req_per_s" in line)
+    p50 = next(line for line in lines if "req_p50_ms" in line)
+    assert rate.endswith("worse than bound 20%: yes")
+    assert p50.endswith("worse than bound 20%: no")
+    assert lines[-1] == "worse than their bound: req_per_s"
+
+
+def test_bound_follows_the_metric_direction():
+    def runs(*values):
+        return [{"metrics": {name: {"value": v, "unit": "u"} for name in ("hi", "lo")}}
+                for v in values]
+
+    better = {"hi": "higher", "lo": "lower"}
+    rows = {row["metric"]: row for row in ab_pairs.summarise(
+        runs(10.0), runs(13.0), better, {"hi": 0.2, "lo": 0.2})}
+    assert not rows["hi"]["over"] and rows["lo"]["over"]  # +30 %
+    rows = {row["metric"]: row for row in ab_pairs.summarise(
+        runs(10.0), runs(8.0), better, {"hi": 0.2, "lo": 0.2})}
+    assert not rows["hi"]["over"] and not rows["lo"]["over"]  # -20 % is at the bound
+    rows = ab_pairs.summarise(runs(10.0), runs(1.0), better)
+    assert all(row["bound"] is None and not row["over"] for row in rows)

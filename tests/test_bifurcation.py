@@ -17,7 +17,7 @@ from blowup.bifurcation import (
     lift_quadruple,
     make_problem_spec,
     nonlocal_residual,
-    _brent,
+    _brent_from,
     reconstruct,
     solve_single,
     sweep,
@@ -228,15 +228,6 @@ def test_sweep_rejects_bad_grid(table3):
         sweep(spec, table3, [-1.0, 2.0])
 
 
-def test_sweep_threads_deterministic(table3):
-    spec = _spec(table3, A="exp(s)", B="1")
-    th = (math.e / 2.0) ** 2.0 * table3.n_q1 ** 2.0
-    grid = list(np.geomspace(0.5 * th, 2.0 * th, 5))
-    one = sweep(spec, table3, grid, threads=1)
-    four = sweep(spec, table3, grid, threads=4)
-    assert one == four
-
-
 def _loop_events(grid, h_grid, cand_tol):
     """The scalar event scan that _events replaced, kept as its reference."""
     n_grid = len(h_grid)
@@ -410,6 +401,16 @@ def test_g_kernel_matches_tree_walk_on_scan_grid(name, p):
         reference = _g_outcome(reference_g_of_s, spec, table, s)
         assert _g_outcome(kernel, s) == reference
         assert _g_outcome(g_of_s, spec, table, s) == reference
+
+
+def _brent(f, xa, xb, **kwargs):
+    """``_brent_from`` as SciPy's ``brentq`` is called: f at both ends is
+    evaluated here, a NaN there raises, and the root alone is returned."""
+    fa, fb = f(xa), f(xb)
+    for x, fx in ((xa, fa), (xb, fb)):
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return _brent_from(f, xa, fa, xb, fb, **kwargs)[0]
 
 
 def _outcome(solver, f, xa, xb, **kwargs):

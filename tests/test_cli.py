@@ -257,6 +257,19 @@ def test_verify_subcommand_pass_and_fault_injection(capsys):
     assert "FAIL" in out
 
 
+def test_verify_report_goes_to_output_file(tmp_path, capsys):
+    code, out, _ = run_cli(["verify", "--ps", "3"], capsys)
+    path = tmp_path / "report.txt"
+    assert run_cli(["verify", "--ps", "3", "--output", str(path)], capsys) == (code, "", "")
+    assert path.read_text(encoding="utf-8") == out
+
+
+def test_verify_rejects_json_format(capsys):
+    code, out, err = run_cli(["verify", "--ps", "3", "--format", "json"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: verify writes a text report; --format json is not supported\n"
+
+
 def test_verify_asymptotics_mode(capsys):
     code, out, _ = run_cli(["verify", "--ps", "3", "--scenario", "cor4",
                             "--asymptotics"], capsys)

@@ -11,6 +11,7 @@ integrands' array forms their scalar values node by node.
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import timemap_reference
-from blowup import timemap
+from blowup import quadpack, timemap
 from blowup.quadpack import _qk21, qk21_many, quad, quad_many
 from blowup.timemap import (
     INVERSION_CAP,
@@ -339,16 +340,57 @@ def test_qk21_many_matches_qk21(p):
             assert _bits(r[i] for r in rows) == _bits(_qk21(f, ai, bi)), (name, ai, bi)
 
 
-@pytest.mark.filterwarnings("ignore")
-def test_quad_many_matches_quad():
-    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
-    fs = [timemap._head_integrand(2.5), timemap._tail_integrand(2.5),
-          lambda x: 1.0 / math.sqrt(x) if x > 0.0 else 0.0, lambda x: 0.0]
+def _warned(fn, *args, **kwargs):
+    """fn's value and the warnings it gave, as (category, message)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn(*args, **kwargs)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+def test_quad_many_matches_quad(monkeypatch):
     rng = random.Random(3)
+    # upper limits of the head (w up to sqrt(_SPLIT - 1)) and the tail (z below 1),
+    # from rows the first rule settles to rows that need many bisections
+    heads = [1e-7, 0.01, 0.5, 1.0, 1.5, 3.0 ** 0.5] + [rng.uniform(0.0, 1.7) for _ in range(10)]
+    tails = [1e-6, 0.1, 0.5, 0.9, 0.99, 0.9999] + [rng.uniform(0.0, 1.0) for _ in range(10)]
+    cases = [(f(p), [0.0] * len(b), b, 1e-14) for p in (1.02, 1.05, 3.0, 40.0, 60.0)
+             for f, b in ((timemap._head_integrand, heads), (timemap._tail_integrand, tails))]
     a = [0.0, 0.2, 0.7] + [rng.uniform(0.0, 0.5) for _ in range(20)]
     b = [1e-9, 0.2, 0.1] + [rng.uniform(0.0, 0.99) for _ in range(20)]
-    for f in fs:
-        assert _bits(quad_many(f, a, b, **opts)) == _bits(quad(f, x, y, **opts)[0]
-                                                          for x, y in zip(a, b))
-    assert _bits(quad_many(math.exp, [0.0], [1.0], limit=1)) == _bits([quad(math.exp, 0.0, 1.0,
-                                                                           limit=1)[0]])
+    cases += [(f, a, b, 1e-14) for f in (lambda x: 1.0 / math.sqrt(x) if x > 0.0 else 0.0,
+                                         lambda x: 0.0, math.exp)]
+    # a step at the midpoint, where one bisection leaves two smooth halves
+    cases.append((lambda x: 1.0 if x < 0.5 else 2.0, [0.0], [1.0], 1e-14))
+    # a step inside [1, 1 + 4 ulp]: the error after one bisection, 0.4 of the
+    # first rule's, meets epsabs, but that bisection is too small to trust
+    # (DQAGSE's ier 4)
+    ulp = math.ulp(1.0)
+    cases.append((lambda x: 1.0 if x < 1.0 + 2.0 * ulp else 2.0, [1.0], [1.0 + 4.0 * ulp],
+                  2e-16))
+    rules = []  # DQK21 rules of each scalar call: 1, 3 after one bisection, or more
+    rule = quadpack._qk21
+
+    def counting(*args):
+        rules[-1] += 1
+        return rule(*args)
+
+    def scalar(f, lo, hi, **opts):
+        out = []
+        with monkeypatch.context() as patch:
+            patch.setattr(quadpack, "_qk21", counting)
+            for x, y in zip(lo, hi):
+                rules.append(0)
+                out.append(quad(f, x, y, **opts)[0])
+        return out
+
+    warned = 0
+    for limit in (1, 2, 200):
+        for f, lo, hi, epsabs in cases:
+            opts = dict(epsabs=epsabs, epsrel=1e-13, limit=limit)
+            many = _warned(quad_many, f, lo, hi, **opts)
+            expected = _warned(scalar, f, lo, hi, **opts)
+            assert _bits(many[0]) == _bits(expected[0]) and many[1] == expected[1], (limit, hi)
+            warned += len(many[1])
+    assert {1, 3} <= set(rules) and max(rules) >= 5
+    assert warned

@@ -14,8 +14,11 @@ The tool prints, per metric: the median and quartiles of OLD and of NEW,
 the change of the medians, in how many pairs NEW was better (the
 direction comes from ``BENCHMARK.json`` next to this tool; unknown
 metrics count lower as better), and whether the medians lie further
-apart than OLD's interquartile range.  It exits 1 if a run failed or
-reported ``correct: false``.
+apart than OLD's interquartile range.  For an end-to-end metric it also
+prints whether NEW's median is worse than OLD's by more than the metric's
+``bound`` in ``BENCHMARK.json`` (a relative change), and the last line
+lists every metric that is.  It exits 1 if a run failed or reported
+``correct: false``.
 """
 
 from __future__ import annotations
@@ -52,14 +55,24 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     return json.loads(lines[-1])
 
 
-def directions(path: Path = ROOT / "BENCHMARK.json") -> dict[str, str]:
-    """metric name -> "lower" or "higher", from a benchmark declaration."""
+def _declaration(path: Path) -> dict:
     try:
-        bench = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return {}
+
+
+def directions(path: Path = ROOT / "BENCHMARK.json") -> dict[str, str]:
+    """metric name -> "lower" or "higher", from a benchmark declaration."""
+    bench = _declaration(path)
     return {m["name"]: m["better"]
             for group in ("end_to_end", "per_layer") for m in bench.get(group, ())}
+
+
+def bounds(path: Path = ROOT / "BENCHMARK.json") -> dict[str, float]:
+    """end-to-end metric name -> the relative worsening it may show at most."""
+    return {m["name"]: m["bound"] for m in _declaration(path).get("end_to_end", ())
+            if "bound" in m}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -70,10 +83,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarise(old: list[dict], new: list[dict], better: dict[str, str]) -> list[dict]:
+def summarise(old: list[dict], new: list[dict], better: dict[str, str],
+              bound: dict[str, float] | None = None) -> list[dict]:
     """Per metric present in every run: quartiles of both sides, the change
-    of the medians, NEW's wins over its pairs, and whether the medians lie
-    further apart than OLD's interquartile range."""
+    of the medians, NEW's wins over its pairs, whether the medians lie
+    further apart than OLD's interquartile range, and, for a metric with a
+    bound, whether NEW's median is worse than OLD's by more than it."""
+    bound = bound or {}
     names = [name for name in old[0]["metrics"]
              if all(name in run["metrics"] for run in old + new)]
     rows = []
@@ -83,20 +99,26 @@ def summarise(old: list[dict], new: list[dict], better: dict[str, str]) -> list[
         higher = better.get(name, "lower") == "higher"
         wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
         qa, qb = quartiles(a), quartiles(b)
+        change = (qb[1] - qa[1]) / qa[1] if qa[1] else None
         rows.append({"metric": name, "unit": old[0]["metrics"][name]["unit"],
-                     "old": qa, "new": qb,
-                     "change": (qb[1] - qa[1]) / qa[1] if qa[1] else None,
+                     "old": qa, "new": qb, "change": change,
                      "wins": wins, "pairs": len(a),
-                     "apart": abs(qb[1] - qa[1]) > qa[2] - qa[0]})
+                     "apart": abs(qb[1] - qa[1]) > qa[2] - qa[0],
+                     "bound": bound.get(name),
+                     "over": (name in bound and change is not None
+                              and (-change if higher else change) > bound[name])})
     return rows
 
 
 def _format(row: dict) -> str:
     change = "n/a" if row["change"] is None else f"{row['change']:+.1%}"
     old, new = ("{1:.4g} [{0:.4g}, {2:.4g}]".format(*row[side]) for side in ("old", "new"))
-    return (f"{row['metric']} ({row['unit']}): old {old}  new {new}"
+    line = (f"{row['metric']} ({row['unit']}): old {old}  new {new}"
             f"  change {change}  wins {row['wins']}/{row['pairs']}"
             f"  medians apart by more than old IQR: {'yes' if row['apart'] else 'no'}")
+    if row["bound"] is not None:
+        line += f"  worse than bound {row['bound']:.0%}: {'yes' if row['over'] else 'no'}"
+    return line
 
 
 def main(argv=None) -> int:
@@ -120,14 +142,16 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
           f"{args.seconds:g} s, trace {args.trace}")
-    for row in summarise(old, new, directions()):
+    rows = summarise(old, new, directions(), bounds())
+    for row in rows:
         print("  " + _format(row))
     incorrect = [f"{label} pair {i + 1}" for label, runs in (("old", old), ("new", new))
                  for i, run in enumerate(runs) if not run.get("correct", False)]
     if incorrect:
         print("  incorrect runs: " + ", ".join(incorrect))
-        return 1
-    return 0
+    over = [row["metric"] for row in rows if row["over"]]
+    print("worse than their bound: " + (", ".join(over) if over else "none"))
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":
