@@ -506,6 +506,8 @@ def _scan(spec: ProblemSpec, table: NormTable, window: tuple[float, float],
     g does not depend on lambda (only the target does), so one scan serves
     every lambda of a sweep.
     """
+    if n_grid < 2:
+        raise ValueError(f"the scan grid needs at least 2 points, got {n_grid!r}")
     grid = np.geomspace(window[0], window[1], n_grid)
     return grid, _g_array(spec, table, grid)
 

@@ -11,9 +11,7 @@ numbers as a {config_echo, results, flags} object.
 Exit codes: 0 success (a run with zero roots is a success), 1 verification
 failure, 2 usage or configuration error, or a numerical failure (overflow,
 division by zero, a root or inverse that cannot be bracketed) reported as
-a one-line diagnostic.  Sweep solves run serially; the BLOWUP_THREADS
-environment variable is still validated (an integer >= 0) but changes
-nothing, and output is byte-identical for every value.
+a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 
@@ -58,17 +55,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _check_threads() -> None:
-    """Validate BLOWUP_THREADS (an integer >= 0); its value changes nothing."""
-    raw = os.environ.get("BLOWUP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"BLOWUP_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise UsageError("BLOWUP_THREADS must be >= 0")
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +304,6 @@ def cmd_roots(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     spec, table = _power_problem(cfg)
     grid = _lambda_grid(cfg)
-    _check_threads()
     diagram = sweep(spec, table, grid, _window(cfg, table), int(cfg["count_cap"]),
                     int(cfg["scan_n"]))
     flags = {

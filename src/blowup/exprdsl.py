@@ -15,15 +15,19 @@ syntax error.  NAME is a variable (s or t), a known function
 time.  Whitespace is insignificant.  NUMBER must be a finite double: a
 literal that overflows, such as 1e999, is a syntax error.
 
-Evaluation is plain IEEE double arithmetic.  An expression is compiled
-once (compile_expr) into generated straight-line Python code, one
-statement group per node, which performs the same IEEE operations in the
-same order as a walk of the tree, so compiling changes no result bit.
-The generated source holds no literal or parameter value: those are bound
-on every compile, and the compiled code is cached per tree.  Domain
-violations (log of a nonpositive value, division by zero, fractional
-power of a negative base, overflow to infinity) raise EvalError naming
-the offending subexpression instead of propagating silent NaNs.
+Evaluation is plain IEEE double arithmetic, in code generated from one
+plan of the tree for two targets (_generate).  The scalar target
+(compile_expr, eval_expr) is straight-line Python, one statement group per
+node, performing the same IEEE operations in the same order as a walk of
+the tree; a domain violation (log of a nonpositive value, division by
+zero, fractional power of a negative base, overflow to infinity) raises
+EvalError naming the offending subexpression instead of propagating a
+silent NaN.  The array target (eval_array) makes one numpy operation per
+node and raises nothing but for an unbound name: it gives NaN where the
+scalar target raises for division by zero, zero to a negative power or
+log of a nonpositive value, and +-inf only for overflow.  Generated code
+holds no literal or parameter value: it is cached per tree shape, and
+each use binds its own tree's literals and parameters.
 """
 
 from __future__ import annotations
@@ -338,10 +342,17 @@ def to_text(expr: CoeffExpr) -> str:
 _Fn = Callable[[float, float], float]
 
 # what generated code calls; every other name it reads is an argument (s,
-# t), a temporary, or a slot bound per compile_expr call (see _generate)
+# t), a temporary, or a node or slot its factory binds (see _generate)
 _RUNTIME = {"_EvalError": EvalError, "_isinf": math.isinf, "_isfinite": math.isfinite,
             "_floor": math.floor, "_pow": math.pow, "_log": math.log, "_sqrt": math.sqrt,
-            "_exp": math.exp, "_sin": math.sin, "_cos": math.cos, "_abs": abs}
+            "_exp": math.exp, "_sin": math.sin, "_cos": math.cos, "_abs": abs,
+            "_np": np, "_nan": math.nan}
+
+# domain points as (operand index, test) terms and a message: where every
+# term holds, the scalar target raises EvalError and the array target NaN
+_DOMAIN = {"/": (((1, "== 0.0"),), "'division by zero'"),
+           "^": (((0, "== 0.0"), (1, "< 0.0")), "'zero raised to a negative power'"),
+           "log": (((0, "<= 0.0"),), "f'log of nonpositive value {{{0}!r}}'")}
 
 
 def compile_expr(expr: CoeffExpr, params: dict[str, float] | None = None,
@@ -356,22 +367,14 @@ def compile_expr(expr: CoeffExpr, params: dict[str, float] | None = None,
     node by node, and raises the same EvalError (message and subexpression)
     at the same point; like eval_expr, it rejects a non-finite result.
 
-    The generated source depends only on the tree's shape, ``variables`` and
-    which names params binds; literals, parameter values and the nodes named
-    in errors reach f through its globals, bound afresh on every call.  The
-    compiled code is cached on (tree, variables, bound names), so compiling
-    the same expression again costs one tree walk and no compile().
+    The generated code depends only on the tree's shape, ``variables`` and
+    which names params binds, and is cached on them; its factory reads the
+    literals, parameter values and nodes named in errors from this tree and
+    params, so compiling the same expression again makes no compile().
     """
     env = params or {}
-    nodes = _postorder(expr.ast, [])
-    code, slots = _generate(expr.ast, tuple(variables), frozenset(env))
-    scope = dict(_RUNTIME)
-    scope.update((f"n{i}", node) for i, node in enumerate(nodes))
-    for i in slots:
-        node = nodes[i]
-        scope[f"k{i}"] = node.value if isinstance(node, Num) else float(env[node.ident])
-    exec(code, scope)
-    return scope["_f"]
+    _, make = _generate(expr.ast, tuple(variables), frozenset(env))
+    return make(expr.ast, env)
 
 
 def check_param_values(params: dict[str, float]) -> None:
@@ -405,6 +408,28 @@ def eval_expr(expr: CoeffExpr, s: float | None = None, t: float | None = None,
     return compile_expr(expr, env, variables=())(s, t)
 
 
+def eval_array(expr: CoeffExpr, s=None, t=None,
+               params: dict[str, float] | None = None) -> np.ndarray:
+    """Vectorized evaluation on numpy arrays, by generated numpy code.
+
+    Only an unbound name raises (EvalError).  A domain violation gives NaN
+    (warnings are suppressed; callers scanning grids inspect finiteness
+    themselves), and +-inf means overflow.  The result has the broadcast
+    shape of s and t, also when the expression uses neither.
+    """
+    env = params or {}
+    s = None if s is None else np.asarray(s, dtype=float)
+    t = None if t is None else np.asarray(t, dtype=float)
+    variables = ("s",) * (s is not None) + ("t",) * (t is not None)
+    _, make = _generate(expr.ast, variables, frozenset(env), True)
+    with np.errstate(all="ignore"):
+        out = np.asarray(make(expr.ast, env)(s, t), dtype=float)
+    shape = np.broadcast(*[x for x in (s, t) if x is not None]).shape
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).copy()
+    return out
+
+
 def _postorder(node: Node, out: list) -> list:
     """The nodes of a tree in evaluation order: children left to right, then the node."""
     if isinstance(node, Neg):
@@ -421,143 +446,122 @@ def _postorder(node: Node, out: list) -> list:
 
 
 @functools.lru_cache(maxsize=256)
-def _generate(ast: Node, variables: tuple[str, ...],
-              bound: frozenset) -> tuple[object, tuple[int, ...]]:
-    """Code defining ``_f(s, t)`` for one tree, and the indices of its value slots.
+def _generate(ast: Node, variables: tuple[str, ...], bound: frozenset,
+              array: bool = False) -> tuple[object, Callable]:
+    """Code for one tree in one target, and the factory ``_make(e, env)`` it defines.
 
-    Node i of the evaluation order is global ``n{i}``; its result is local
-    ``v{i}``, or for a leaf the argument or value slot ``k{i}`` itself.
-    Every check, operation and error below mirrors one step of a node-by-node
-    evaluation, in the same order.
+    The plan is shared: node i of the evaluation order is local ``n{i}`` of
+    _make, read from its parent (the root is e); a literal or a name in
+    ``bound`` is slot ``k{i}`` (its value, or float(env[name])); a name in
+    ``variables`` is the argument s or t of the ``_f(s, t)`` that _make
+    returns; any other name raises EvalError where _f reaches it.  Every
+    other node is one statement group of _f, with result ``v{i}``.  The
+    scalar target mirrors each step of a node-by-node float evaluation,
+    check for check.  The array target makes one numpy operation per node
+    and answers NaN at the _DOMAIN points, elementwise where s or t lies
+    below the operand tested.
     """
     nodes = _postorder(ast, [])
-    lines: list[str] = []
-    slots: list[int] = []
-    stack: list[str] = []
+    links, slots, body = [], [], []
+    stack: list[tuple[int, str]] = []
+    arrays: set[str] = set()
     for i, node in enumerate(nodes):
         n, v = f"n{i}", f"v{i}"
-        if isinstance(node, Num):
-            slots.append(i)
-            stack.append(f"k{i}")
-            continue
-        if isinstance(node, Name):
-            if node.ident in variables:
-                stack.append("s" if node.ident == "s" else "t")
-            elif node.ident in bound:
-                slots.append(i)
-                stack.append(f"k{i}")
+        ident = getattr(node, "ident", None)
+        if ident in variables:
+            v = "s" if ident == "s" else "t"
+            arrays.add(v)
+        elif isinstance(node, Num) or ident in bound:
+            v = f"k{i}"
+            slots.append(f"{v} = {n}.value" if ident is None else f"{v} = float(env[{n}.ident])")
+        elif ident is not None:
+            body.append(f"raise _EvalError(f'unbound parameter {{{n}.ident!r}}', {n})")
+        else:
+            fields = {Bin: ("left", "right"), Neg: ("operand",), Call: ("arg",)}[type(node)]
+            children = stack[-len(fields):]
+            del stack[-len(fields):]
+            links += [f"n{j} = {n}.{field}" for field, (j, _) in zip(fields, children)]
+            ops = [x for _, x in children]
+            if isinstance(node, Call) and node.func not in FUNCTIONS:
+                body.append(f"raise _EvalError(f'unknown function {{{n}.func!r}}', {n})")
+            elif isinstance(node, Bin) and node.op not in _OPS:
+                body.append(f"raise _EvalError(f'unknown operator {{{n}.op!r}}', {n})")
+            elif array:
+                body.append(f"{v} = {_array_step(node, ops, arrays)}")
+                if arrays.intersection(ops):
+                    arrays.add(v)
             else:
-                lines.append(f"raise _EvalError(f'unbound parameter {{{n}.ident!r}}', {n})")
-                stack.append(v)
-            continue
-        if isinstance(node, Neg):
-            lines.append(f"{v} = -{stack.pop()}")
-        elif isinstance(node, Call):
-            x = stack.pop()
-            if node.func == "log":
-                lines += [f"if {x} <= 0.0:",
-                          f"    raise _EvalError(f'log of nonpositive value {{{x}!r}}', {n})",
-                          f"{v} = _log({x})"]
-            elif node.func == "sqrt":
-                lines += [f"if {x} < 0.0:",
-                          f"    raise _EvalError(f'sqrt of negative value {{{x}!r}}', {n})",
-                          f"{v} = _sqrt({x})"]
-            elif node.func == "exp":
-                lines += ["try:",
-                          f"    {v} = _exp({x})",
-                          "except OverflowError:",
-                          f"    raise _EvalError(f'exp overflow at argument {{{x}!r}}', {n}) from None"]
-            elif node.func in ("sin", "cos", "abs"):
-                lines.append(f"{v} = _{node.func}({x})")
-            else:
-                lines.append(f"raise _EvalError(f'unknown function {{{n}.func!r}}', {n})")
-        else:  # Bin
-            b = stack.pop()
-            a = stack.pop()
-            if node.op in ("+", "-", "*"):
-                step = [f"{v} = {a} {node.op} {b}"]
-            elif node.op == "/":
-                lines += [f"if {b} == 0.0:",
-                          f"    raise _EvalError('division by zero', {n})"]
-                step = [f"{v} = {a} / {b}"]
-            elif node.op == "^":
-                lines += [f"if {a} == 0.0 and {b} < 0.0:",
-                          f"    raise _EvalError('zero raised to a negative power', {n})"]
-                # floor raises OverflowError for an infinite exponent
-                step = [f"if {a} < 0.0 and {b} != _floor({b}):",
-                        f"    raise _EvalError(f'negative base {{{a}!r}} with non-integer "
-                        f"exponent {{{b}!r}}', {n})",
-                        f"{v} = _pow({a}, {b})"]
-            else:
-                lines.append(f"raise _EvalError(f'unknown operator {{{n}.op!r}}', {n})")
-                stack.append(v)
-                continue
-            lines += ["try:", *("    " + line for line in step),
-                      "except OverflowError:",
-                      f"    raise _EvalError('overflow', {n}) from None",
-                      f"if _isinf({v}):",
-                      f"    raise _EvalError('overflow to infinity', {n})"]
-        stack.append(v)
-    result, root = stack.pop(), f"n{len(nodes) - 1}"
-    lines += [f"if not _isfinite({result}):",
-              f"    raise _EvalError(f'non-finite result {{{result}!r}}', {root})",
-              f"return {result}"]
-    source = "def _f(s, t):\n" + "".join(f"    {line}\n" for line in lines)
-    return compile(source, "<coefficient expression>", "exec"), tuple(slots)
+                body += _scalar_step(node, n, v, ops)
+        stack.append((i, v))
+    result, root = stack.pop()[1], f"n{len(nodes) - 1}"
+    if not array:
+        body += [f"if not _isfinite({result}):",
+                 f"    raise _EvalError(f'non-finite result {{{result}!r}}', {root})"]
+    # reversed, the links bind each parent before its children
+    source = "".join([f"def _make(e, env):\n    {root} = e\n",
+                      *(f"    {line}\n" for line in [*reversed(links), *slots]),
+                      "    def _f(s, t):\n", *(f"        {line}\n" for line in body),
+                      f"        return {result}\n    return _f\n"])
+    code = compile(source, "<coefficient expression>", "exec")
+    scope = dict(_RUNTIME)
+    exec(code, scope)
+    return code, scope["_make"]
 
 
-def eval_array(expr: CoeffExpr, s=None, t=None,
-               params: dict[str, float] | None = None) -> np.ndarray:
-    """Vectorized evaluation on numpy arrays.
-
-    Domain violations surface as NaN/inf in the result instead of raising
-    (invalid-operation warnings are suppressed); callers scanning grids
-    inspect finiteness themselves.  Unbound names still raise EvalError.
-    The result has the broadcast shape of s and t, also when the
-    expression uses neither.
-    """
-    env: dict[str, object] = dict(params or {})
-    if s is not None:
-        env["s"] = np.asarray(s, dtype=float)
-    if t is not None:
-        env["t"] = np.asarray(t, dtype=float)
-    with np.errstate(all="ignore"):
-        out = np.asarray(_eval_np(expr.ast, env), dtype=float)
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (s, t) if v is not None))
-    if out.shape != shape:
-        out = np.broadcast_to(out, shape).copy()
-    return out
-
-
-_NP_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-             "sqrt": np.sqrt, "abs": np.abs}
-
-
-def _eval_np(node: Node, env: dict[str, object]):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Name):
-        try:
-            return env[node.ident]
-        except KeyError:
-            raise EvalError(f"unbound parameter {node.ident!r}", node) from None
+def _scalar_step(node: Node, n: str, v: str, ops: list[str]) -> list[str]:
+    """Scalar target: the statements of one Neg, Call or Bin node."""
+    a, b = ops[0], ops[-1]
     if isinstance(node, Neg):
-        return -_eval_np(node.operand, env)
+        return [f"{v} = -{a}"]
+    key = node.func if isinstance(node, Call) else node.op
+    check = []
+    if key in _DOMAIN:
+        terms, message = _DOMAIN[key]
+        check = ["if " + " and ".join(f"{ops[k]} {test}" for k, test in terms) + ":",
+                 f"    raise _EvalError({message.format(*ops)}, {n})"]
+    if key == "log":
+        return check + [f"{v} = _log({a})"]
+    if key == "sqrt":
+        return [f"if {a} < 0.0:",
+                f"    raise _EvalError(f'sqrt of negative value {{{a}!r}}', {n})",
+                f"{v} = _sqrt({a})"]
+    if key == "exp":
+        return ["try:",
+                f"    {v} = _exp({a})",
+                "except OverflowError:",
+                f"    raise _EvalError(f'exp overflow at argument {{{a}!r}}', {n}) from None"]
     if isinstance(node, Call):
-        return _NP_FUNCS[node.func](_eval_np(node.arg, env))
-    if isinstance(node, Bin):
-        a = _eval_np(node.left, env)
-        b = _eval_np(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return np.power(a, b)
-    raise TypeError(f"not an expression node: {node!r}")
+        return [f"{v} = _{key}({a})"]
+    step = [f"{v} = {a} {key} {b}"]
+    if key == "^":
+        # floor raises OverflowError for an infinite exponent
+        step = [f"if {a} < 0.0 and {b} != _floor({b}):",
+                f"    raise _EvalError(f'negative base {{{a}!r}} with non-integer "
+                f"exponent {{{b}!r}}', {n})",
+                f"{v} = _pow({a}, {b})"]
+    return check + ["try:", *("    " + line for line in step),
+                    "except OverflowError:",
+                    f"    raise _EvalError('overflow', {n}) from None",
+                    f"if _isinf({v}):",
+                    f"    raise _EvalError('overflow to infinity', {n})"]
+
+
+def _array_step(node: Node, ops: list[str], arrays: set[str]) -> str:
+    """Array target: the numpy expression of one Neg, Call or Bin node."""
+    if isinstance(node, Neg):
+        return f"-{ops[0]}"
+    key = node.func if isinstance(node, Call) else node.op
+    expr = (f"_np.{key}({ops[0]})" if isinstance(node, Call) else
+            f"_np.power({ops[0]}, {ops[1]})" if key == "^" else f"{ops[0]} {key} {ops[1]}")
+    if key not in _DOMAIN:
+        return expr
+    # NaN where every term holds: one test of a scalar operand, an
+    # elementwise one of an array
+    terms = [(ops[k], test) for k, test in _DOMAIN[key][0]]
+    each = " & ".join(f"({x} {test})" for x, test in terms if x in arrays)
+    once = " and ".join(f"{x} {test}" for x, test in terms if x not in arrays)
+    nan = f"_np.where({each}, _nan, {expr})" if each else "_nan"
+    return f"{nan} if {once} else {expr}" if once else nan
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""The tree-walking evaluator that compiled coefficient expressions replaced.
+"""The tree-walking evaluators that generated coefficient code replaced.
 
-Kept as the reference that `exprdsl.compile_expr` and `bifurcation`'s scalar
-g kernel are compared against, bit for bit and error for error.
+Kept as the references that `exprdsl.compile_expr`, `exprdsl.eval_array`
+and `bifurcation`'s scalar g kernel are compared against, bit for bit and
+error for error.
 """
 
 import math
+
+import numpy as np
 
 from blowup.bifurcation import CoefficientError
 from blowup.exprdsl import Bin, Call, EvalError, Name, Neg, Num
@@ -104,4 +107,59 @@ def _eval(node, env: dict[str, float]) -> float:
         if math.isinf(out):
             raise EvalError("overflow to infinity", node)
         return out
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def reference_eval_array(expr, s=None, t=None, params=None):
+    """eval_array by the recursive numpy walk, NaN at the domain points."""
+    env = dict(params or {})
+    if s is not None:
+        env["s"] = np.asarray(s, dtype=float)
+    if t is not None:
+        env["t"] = np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):
+        out = np.asarray(_eval_np(expr.ast, env), dtype=float)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (s, t) if v is not None))
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).copy()
+    return out
+
+
+_NP_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+             "sqrt": np.sqrt, "abs": np.abs}
+
+
+def _nan_where(cond, value):
+    """value, but NaN where the scalar evaluator raises: a domain point."""
+    if np.ndim(cond):
+        return np.where(cond, np.nan, value)
+    return np.nan if cond else value
+
+
+def _eval_np(node, env):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Name):
+        try:
+            return env[node.ident]
+        except KeyError:
+            raise EvalError(f"unbound parameter {node.ident!r}", node) from None
+    if isinstance(node, Neg):
+        return -_eval_np(node.operand, env)
+    if isinstance(node, Call):
+        arg = _eval_np(node.arg, env)
+        value = _NP_FUNCS[node.func](arg)
+        return _nan_where(arg <= 0.0, value) if node.func == "log" else value
+    if isinstance(node, Bin):
+        a = _eval_np(node.left, env)
+        b = _eval_np(node.right, env)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            return _nan_where(b == 0.0, np.divide(a, b))
+        return _nan_where((a == 0.0) & (b < 0.0), np.power(a, b))
     raise TypeError(f"not an expression node: {node!r}")

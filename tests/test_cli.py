@@ -229,15 +229,6 @@ def test_console_entry_point(child_env):
     assert proc.stdout.startswith("name,value")
 
 
-def test_bad_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("BLOWUP_THREADS", "many")
-    code, _, err = run_cli(["sweep", *BASE, "--A", "1", "--B", "1",
-                            "--lambda-min", "1", "--lambda-max", "2", "--lambda-n", "2"],
-                           capsys)
-    assert code == 2
-    assert "BLOWUP_THREADS" in err
-
-
 def test_eval_exp_problem_type(tmp_path, capsys):
     cfg = {"problem_type": "exp", "r1": 0.4, "r2": 0.6, "A": "1+t", "B": "2+t",
            "lambda": 2.0, "grid_n": 5}
@@ -381,9 +372,30 @@ def test_non_finite_config_parameter_exits_2(tmp_path, capsys):
     (["roots", *BASE, "--A", "20-s", "--B", "t-1e-3", "--lambda", "1"],
      "error: coefficient A at (s=42.60829941093746, t=2.1699568359836225e-05): "
      "positivity scan found value -22.608299410937462"),
+    # B divides by zero at p = 3: NaN, not the +inf of an overflow
+    (["roots", *BASE, "--A", "s^(p-1)", "--B", "s/(p-3)", "--lambda", "5"],
+     "error: coefficient B at (s=2.336816635696733e-05, t=2.1699568359836225e-05): "
+     "positivity scan found value nan"),
+    (["roots", *BASE, "--A", "s^(p-1)", "--B", "1/(p-3)", "--lambda", "5"],
+     "error: coefficient B at (s=2.336816635696733e-05, t=2.1699568359836225e-05): "
+     "positivity scan found value nan"),
 ])
 def test_positivity_error_names_coefficient_and_point(argv, message, capsys):
     assert run_cli(argv, capsys) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["roots", "--lambda", "2000"],
+    ["sweep", "--lambda-min", "100", "--lambda-max", "2000", "--lambda-n", "3"],
+])
+@pytest.mark.parametrize("scan_n", ["1", "0"])
+def test_scan_grid_below_two_points_exits_2(command, scan_n, capsys):
+    argv = [command[0], "--scenario", "cor1", *BASE, *command[1:], "--scan-n", scan_n]
+    assert run_cli(argv, capsys) == (
+        2, "", f"error: the scan grid needs at least 2 points, got {scan_n}\n")
+    # two points are enough to find the one cor1 root
+    code, out, _ = run_cli(argv[:-1] + ["2"], capsys)
+    assert code == 0 and "0.0404591" in out
 
 
 CONFIG = {"scenario": "cor2", "p": 3, "q1": 0.5, "q2": 0.7, "r1": 0.2, "r2": 0.3,

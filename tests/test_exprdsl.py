@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowup.exprdsl import (
@@ -28,7 +28,7 @@ from blowup.exprdsl import (
     to_text,
 )
 from blowup import exprdsl
-from exprdsl_reference import reference_eval_expr
+from exprdsl_reference import reference_eval_array, reference_eval_expr
 
 
 def test_precedence_goldens():
@@ -157,6 +157,13 @@ def test_eval_array_constant_takes_the_input_shape():
 def test_eval_array_nan_instead_of_raise():
     out = eval_array(parse("log(s-5)"), np.array([1.0, 6.0]), np.array([1.0, 1.0]))
     assert not np.isfinite(out[0]) and np.isfinite(out[1])
+    # NaN, not +-inf, where eval_expr raises for a domain point
+    s, t = np.array([1.0, 2.0]), np.array([0.0, 3.0])
+    for text in ("s/(p-3)", "1/(p-3)", "s/(t-t)", "(p-3)^(0-1)", "t^(0-1)", "log(p-3)", "log(t)"):
+        out = eval_array(parse(text), s, t, {"p": 3.0})
+        assert np.isnan(out[0]) and out.shape == (2,), text
+    # overflow alone stays infinite
+    assert eval_array(parse("exp(s)*1e308"), s, t).tolist() == [math.inf, math.inf]
 
 
 def test_positivity_scan():
@@ -252,6 +259,49 @@ def test_eval_array_agrees_with_eval_expr(expr, s, t, params):
     array = float(eval_array(expr, np.array([s]), np.array([t]), params)[0])
     if math.isfinite(array):
         assert abs(array - scalar) <= 1e-12 * max(abs(array), abs(scalar))
+
+
+# NaN of both signs, infinities, signed zeros and subnormals beside the
+# ordinary doubles
+_elements = st.floats() | st.sampled_from(
+    [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310])
+
+
+@st.composite
+def _grids(draw):
+    """s and t, each missing or an array; t may broadcast against s to 2-D."""
+    n = draw(st.integers(1, 4))
+    column = st.lists(_elements, min_size=n, max_size=n).map(np.array)
+    return draw(st.none() | column), draw(st.none() | column | column.map(lambda a: a[:, None]))
+
+
+def _array_outcome(fn, *args):
+    """An array as shape and bytes, or an exception as type name and message."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc).__name__, str(exc)
+    return "value", out.shape, out.tobytes()
+
+
+# every domain point, with an array or a scalar operand tested
+_ZEROS = np.array([0.0, -0.0, 2.0])
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_asts, _grids(), _param_dicts)
+@example(parse("s^(0-t)"), (_ZEROS, np.ones(3)), {})
+@example(parse("s^(0-a)"), (_ZEROS, None), {"a": 1.0})
+@example(parse("a^(0-s)"), (_ZEROS, None), {"a": 0.0})
+@example(parse("s/t"), (np.ones(3), _ZEROS), {})
+@example(parse("s/(a-3)"), (_ZEROS, None), {"a": 3.0})
+@example(parse("1/(a-3)"), (_ZEROS, None), {"a": 3.0})
+@example(parse("log(t)"), (None, _ZEROS), {})
+@example(parse("log(a)"), (_ZEROS, None), {"a": 0.0})
+def test_eval_array_matches_tree_walk(expr, grid, params):
+    s, t = grid
+    assert (_array_outcome(eval_array, expr, s, t, params)
+            == _array_outcome(reference_eval_array, expr, s, t, params))
 
 
 @settings(max_examples=500, deadline=None)

@@ -10,8 +10,9 @@ are sent to ``blowup.cli.main``, in one child interpreter per tree that
 imports that tree's package, the way the benchmark's worker sends them.
 ``corner_argvs.json`` next to this tool holds requests the streams never
 draw: p near 1 and large p, a tiny boundary offset, an even grid, verify
-outside its working range and at p = 2.2, 3.7 and 7, the norm oracles, and
-inputs whose result overflows a double.  For each request the
+outside its working range and at p = 2.2, 3.7 and 7, the norm oracles,
+inputs whose result overflows a double, a one-point scan grid, and a
+coefficient that divides by zero.  For each request the
 child records stdout, stderr, the exit code, and the exception if one
 escaped ``main``.  The tool prints the first request where any of the
 four differs, with the first differing line, and exits 1; it exits 0
@@ -66,7 +67,6 @@ def tree_outcomes(tree: Path, argvs: list[list[str]]) -> list[dict]:
     if not (src / "blowup").is_dir():
         raise SystemExit(f"outputs_diff: no src/blowup under {tree}")
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("BLOWUP_THREADS", None)
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child"],
                           input=json.dumps(argvs), capture_output=True, text=True,
                           env=env, cwd=tree)
